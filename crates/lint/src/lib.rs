@@ -65,7 +65,7 @@ pub mod scope {
     /// system (epoll shards, connection pool timeouts, heartbeat
     /// pacing, live-mesh drivers). Everything else must take time as a
     /// parameter or use the simulated clock.
-    pub const WALL_CLOCK_IO: [&str; 8] = [
+    pub const WALL_CLOCK_IO: [&str; 9] = [
         "crates/netpoll/src/",
         "crates/proto/src/pool.rs",
         "crates/proto/src/node/",
@@ -74,6 +74,7 @@ pub mod scope {
         "crates/proto/src/replay.rs",
         "crates/proto/src/bin/",
         "crates/proto/tests/",
+        "perfbench/",
     ];
 
     /// Artifact-writing paths where iteration order reaches JSON files,

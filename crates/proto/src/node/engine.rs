@@ -19,10 +19,18 @@
 //!   (rare on loopback) when a short write leaves bytes pending and
 //!   `EPOLLOUT` interest must be armed.
 //!
-//! Per-connection ordering: a connection with a `Get` in flight (`busy`)
-//! parks subsequent frames in a backlog; whoever finishes the `Get`
-//! replays them under the connection lock, so replies always match
-//! request order even though local frames are cheap and `Get`s are not.
+//! Per-connection ordering: a connection may have many `Get`s at the
+//! worker pool at once, and its replies still leave in request order. A
+//! missing `Get` takes the next *reply slot* (the connection's queue of
+//! unreleased replies, in request order) and travels to the pool with the
+//! slot's sequence number. While any slot is open, every later frame,
+//! a local hit or a `FindNearest` alike, is answered at once into a slot
+//! of its own. Whichever worker fills the head slot moves the ready
+//! prefix onto the out-queue and flushes it, so a run of replies leaves
+//! in one `writev`. Replies are a frame head plus the refcounted body,
+//! written as separate iovecs: no reply body is copied on its way out.
+//! The admission mark bounds a node's `Get`s in flight, and with them
+//! the slots waiting on a worker.
 //!
 //! Lock order: a connection's state lock may be taken before the node's
 //! store lock (frame handling under the connection lock), never the other
@@ -31,11 +39,11 @@
 use super::{handle_get, local_hit, local_response, trace_event, Inner};
 use crate::wire::{FrameAssembler, Message, ServedBy, Status};
 use bh_netpoll::{waker_pair, Event, Interest, Poller, WakeReceiver, Waker};
-use bh_obs::span;
+use bh_obs::{span, Counter};
 use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, IoSlice, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -58,37 +66,36 @@ enum Injected {
     WantWrite { token: u64 },
 }
 
-/// A `Get` checked out to the worker pool.
+/// A `Get` checked out to the worker pool, bound for reply slot `seq`.
 struct WorkerJob {
     shard: usize,
     token: u64,
+    seq: u64,
     url: String,
     conn: Arc<SharedConn>,
 }
 
-/// Admission-controlled handle to the worker-pool job channel.
+/// Admission control for the worker pool: a count of `Get`s in flight
+/// (handed to the pool and not yet answered).
 ///
-/// Depth is tracked with a shared counter: enqueue increments, a worker
-/// dequeue decrements. Past the high-water mark new `Get`s are turned
-/// away with a redirect-to-origin reply instead of queueing unboundedly
-/// behind a slow origin — the client is closer to the origin than to a
-/// saturated cache (the paper's "the cache must stay cheaper than going
-/// direct" argument, applied as backpressure).
-#[derive(Clone)]
-struct JobQueue {
-    tx: Sender<WorkerJob>,
-    depth: Arc<AtomicUsize>,
-    saturated: Arc<AtomicBool>,
+/// Past the high-water mark new `Get`s are turned away with a
+/// redirect-to-origin reply instead of queueing unboundedly behind a slow
+/// origin — the client is closer to the origin than to a saturated cache
+/// (the paper's "the cache must stay cheaper than going direct" argument,
+/// applied as backpressure).
+struct Admission {
+    in_flight: AtomicUsize,
+    saturated: AtomicBool,
     high_water: usize,
 }
 
-impl JobQueue {
-    /// Admission check: `Ok` when the job may be enqueued, `Err(depth)`
+impl Admission {
+    /// Admission check: `Ok` when a `Get` may go to the pool, `Err(depth)`
     /// when it must be rejected. Counts one `queue_saturation_events`
     /// per episode (the rising edge of the mark, not every reject); the
-    /// episode ends once the queue drains back to half the mark.
+    /// episode ends once the count drains back to half the mark.
     fn admit(&self, inner: &Inner) -> Result<(), usize> {
-        let depth = self.depth.load(Ordering::Relaxed);
+        let depth = self.in_flight.load(Ordering::Relaxed);
         if depth >= self.high_water {
             if !self.saturated.swap(true, Ordering::Relaxed) {
                 inner.metrics.queue_saturation_events.inc();
@@ -108,32 +115,33 @@ impl JobQueue {
         }
     }
 
-    fn send(&self, job: WorkerJob) -> Result<(), channel::SendError<WorkerJob>> {
-        self.depth.fetch_add(1, Ordering::Relaxed);
-        let sent = self.tx.send(job);
-        if sent.is_err() {
-            self.depth.fetch_sub(1, Ordering::Relaxed);
-        }
-        sent
-    }
-
-    /// A worker checked a job out of the channel.
-    fn job_done(&self) {
-        self.depth.fetch_sub(1, Ordering::Relaxed);
+    /// A worker answered one `Get`.
+    fn done(&self) {
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-/// Writes the admission-control rejection: a `Redirect` reply telling the
-/// client to fetch from the origin directly. Callers hold the connection
-/// lock.
-fn reject_get(
-    inner: &Inner,
-    stream: &TcpStream,
-    state: &mut ConnState,
-    scratch: &mut BytesMut,
-    url: &str,
-    depth: usize,
-) {
+/// The shards' handle to the worker pool. Only shards hold the sender, so
+/// the channel disconnects, and the workers exit, once every shard has.
+struct JobQueue {
+    tx: Sender<WorkerJob>,
+    admission: Arc<Admission>,
+}
+
+impl JobQueue {
+    fn send(&self, job: WorkerJob) -> Result<(), channel::SendError<WorkerJob>> {
+        self.admission.in_flight.fetch_add(1, Ordering::Relaxed);
+        let sent = self.tx.send(job);
+        if sent.is_err() {
+            self.admission.done();
+        }
+        sent
+    }
+}
+
+/// The admission-control rejection: a `Redirect` reply telling the client
+/// to fetch from the origin directly.
+fn reject_get(inner: &Inner, url: &str, depth: usize) -> Message {
     inner.metrics.admission_rejects.inc();
     trace_event(
         inner,
@@ -141,14 +149,12 @@ fn reject_get(
         bh_md5::url_key(url),
         depth as u64,
     );
-    let reply = Message::GetReply {
+    Message::GetReply {
         status: Status::Redirect,
         version: 0,
         served_by: ServedBy::Origin,
         body: Bytes::new(),
-    };
-    reply.encode(scratch);
-    send_frame(stream, state, scratch);
+    }
 }
 
 /// Everything `CacheNode::spawn` needs to own the running engine.
@@ -175,35 +181,37 @@ pub(super) fn spawn(listener: TcpListener, inner: Arc<Inner>) -> io::Result<Engi
     }
 
     let (job_tx, job_rx) = channel::unbounded::<WorkerJob>();
-    let jobs = JobQueue {
-        tx: job_tx,
-        depth: Arc::new(AtomicUsize::new(0)),
-        saturated: Arc::new(AtomicBool::new(false)),
-        // Default high-water mark: enough queued Gets to keep every worker
-        // busy through a burst, small enough that a stalled origin turns
-        // into redirects instead of unbounded memory.
+    let admission = Arc::new(Admission {
+        in_flight: AtomicUsize::new(0),
+        saturated: AtomicBool::new(false),
+        // Default high-water mark: enough `Get`s in flight to keep every
+        // worker busy through a burst, small enough that a stalled origin
+        // turns into redirects instead of unbounded memory.
         high_water: inner
             .config
             .admission_high_water
             .unwrap_or_else(|| (workers * 64).max(256)),
-    };
+    });
     let mut threads = Vec::with_capacity(workers + shards + 1);
 
     for w in 0..workers {
         let job_rx = job_rx.clone();
-        let jobs = jobs.clone();
+        let admission = Arc::clone(&admission);
         let handles = clone_handles(&handles)?;
         let inner = Arc::clone(&inner);
         threads.push(
             std::thread::Builder::new()
                 .name(format!("cache-worker-{addr}-{w}"))
-                .spawn(move || worker_loop(job_rx, jobs, handles, inner))?,
+                .spawn(move || worker_loop(job_rx, admission, handles, inner))?,
         );
     }
 
     for (i, (poller, wake_rx, rx)) in loops.into_iter().enumerate() {
         let inner = Arc::clone(&inner);
-        let jobs = jobs.clone();
+        let jobs = JobQueue {
+            tx: job_tx.clone(),
+            admission: Arc::clone(&admission),
+        };
         threads.push(
             std::thread::Builder::new()
                 .name(format!("cache-shard-{addr}-{i}"))
@@ -212,7 +220,7 @@ pub(super) fn spawn(listener: TcpListener, inner: Arc<Inner>) -> io::Result<Engi
                 })?,
         );
     }
-    drop(jobs);
+    drop(job_tx);
 
     let wakers = handles
         .iter()
@@ -258,60 +266,42 @@ fn accept_loop(listener: TcpListener, handles: Vec<(Sender<Injected>, Waker)>, i
 }
 
 /// Services `Get` jobs; each may probe a peer and fall back to the origin
-/// through the pooled transport, then completes the request directly on
-/// the connection (writing the reply and replaying the backlog), poking
-/// the owning shard only if queued bytes remain.
+/// through the pooled transport, then fills its reply slot on the
+/// connection, writing whatever that releases, and pokes the owning shard
+/// only if queued bytes remain.
 fn worker_loop(
     job_rx: Receiver<WorkerJob>,
-    jobs: JobQueue,
+    admission: Arc<Admission>,
     handles: Vec<(Sender<Injected>, Waker)>,
     inner: Arc<Inner>,
 ) {
-    // Reply frames are encoded into this reusable scratch buffer; the
-    // fast path writes it straight to the socket, so the steady state is
-    // zero allocations per reply.
-    let mut scratch = BytesMut::with_capacity(4096);
-    loop {
-        // Workers hold a `JobQueue` clone (backlog replays enqueue
-        // follow-up jobs), so the channel never disconnects on its own —
-        // poll the shutdown flag instead of blocking forever.
-        let job = match job_rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(job) => job,
-            Err(channel::RecvTimeoutError::Timeout) => {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-            Err(channel::RecvTimeoutError::Disconnected) => break,
-        };
-        jobs.job_done();
+    // Reply heads are encoded into this reusable scratch buffer; bodies
+    // stay refcounted, so the steady state is zero allocations per reply.
+    let mut scratch = BytesMut::with_capacity(64);
+    for job in job_rx.iter() {
         if inner.shutdown.load(Ordering::SeqCst) {
             break;
         }
         let reply = handle_get(&inner, &job.url);
+        admission.done();
+        let frame = Frame::new(&reply, &mut scratch);
         let wants_write = {
             // bh-lint: allow(lock-order, reason = "the per-connection state lock IS the frame-write serializer; the socket is nonblocking, so writes under it only fill the kernel buffer and queue the rest")
             let mut state = job.conn.state.lock();
-            let was_closed = state.closed;
-            reply.encode(&mut scratch);
-            send_frame(&job.conn.stream, &mut state, &scratch);
-            if state.closed && !was_closed {
+            state.fill(job.seq, frame);
+            if state.closed {
+                false
+            } else if write_some(&job.conn.stream, &mut state, &inner.metrics.writev_batches)
+                .is_err()
+            {
                 // The reply could not be delivered (socket died mid-write);
                 // account it instead of wedging or panicking the worker.
+                state.closed = true;
                 inner.metrics.service_errors.inc();
+                false
+            } else {
+                state.wants_write()
             }
-            state.busy = false;
-            replay_backlog(
-                &job.conn,
-                &mut state,
-                &inner,
-                &jobs,
-                &mut scratch,
-                job.shard,
-                job.token,
-            );
-            !state.closed && state.wants_write()
         };
         if wants_write {
             let (tx, waker) = &handles[job.shard];
@@ -322,67 +312,69 @@ fn worker_loop(
     }
 }
 
-/// Replays parked frames until the backlog drains or another `Get` checks
-/// out. Runs under the connection lock, on whichever thread cleared
-/// `busy` (a worker finishing a `Get`, usually).
-fn replay_backlog(
-    conn: &Arc<SharedConn>,
-    state: &mut ConnState,
-    inner: &Arc<Inner>,
-    jobs: &JobQueue,
-    scratch: &mut BytesMut,
-    shard: usize,
-    token: u64,
-) {
-    while !state.busy && !state.closed {
-        let Some(msg) = state.backlog.pop_front() else {
-            break;
-        };
-        match msg {
-            Message::Get { url } => {
-                if inner.drained() {
-                    reject_get(inner, &conn.stream, state, scratch, &url, 0);
-                } else if let Some(reply) = local_hit(inner, &url) {
-                    reply.encode(scratch);
-                    send_frame(&conn.stream, state, scratch);
-                } else if let Err(depth) = jobs.admit(inner) {
-                    reject_get(inner, &conn.stream, state, scratch, &url, depth);
-                } else {
-                    state.busy = true;
-                    let job = WorkerJob {
-                        shard,
-                        token,
-                        url,
-                        conn: Arc::clone(conn),
-                    };
-                    if jobs.send(job).is_err() {
-                        state.closed = true;
-                        inner.metrics.service_errors.inc();
-                    }
-                }
-            }
-            other => {
-                let reply = local_response(inner, other);
-                reply.encode(scratch);
-                send_frame(&conn.stream, state, scratch);
-            }
+/// Longest frame head a [`Frame`] keeps inline. A `GetReply` head is at
+/// most 23 bytes, a `FindNearestReply` 14 and an `Ack` 5.
+const HEAD_CAP: usize = 24;
+
+/// One encoded reply: the frame head inline and the refcounted body as a
+/// buffer of its own, so the write path hands both to `writev` without
+/// copying the body.
+struct Frame {
+    head: [u8; HEAD_CAP],
+    head_len: usize,
+    body: Option<Bytes>,
+}
+
+impl Frame {
+    fn new(reply: &Message, scratch: &mut BytesMut) -> Frame {
+        let body = reply.encode_head(scratch).cloned();
+        let mut head = [0u8; HEAD_CAP];
+        if let Some(dst) = head.get_mut(..scratch.len()) {
+            dst.copy_from_slice(scratch);
+            return Frame {
+                head,
+                head_len: scratch.len(),
+                body,
+            };
         }
+        // Only operator replies (meta listings) outgrow the inline head;
+        // they carry no separate body, so the whole frame becomes one.
+        Frame {
+            head,
+            head_len: 0,
+            // bh-lint: allow(no-hot-alloc, reason = "only operator replies (mesh-namespace listings) outgrow the inline head; data-path replies never reach this copy")
+            body: Some(Bytes::from(scratch.to_vec())),
+        }
+    }
+
+    /// The frame's bytes as the two buffers `writev` sends.
+    fn parts(&self) -> [&[u8]; 2] {
+        [
+            &self.head[..self.head_len],
+            self.body.as_deref().unwrap_or_default(),
+        ]
+    }
+
+    fn len(&self) -> usize {
+        self.head_len + self.body.as_ref().map_or(0, Bytes::len)
     }
 }
 
 /// Write-side state of a connection, shared between the owning shard and
 /// any worker finishing a `Get` for it.
 struct ConnState {
-    /// Reply frames queued for writing, oldest first; `front_pos` marks
-    /// how much of the front frame already left. Keeping whole frames
-    /// (refcounted `Bytes`) instead of one flat byte buffer is what lets
-    /// the flush path hand the entire queue to `writev` in one syscall.
-    out: VecDeque<Bytes>,
+    /// Released reply frames, oldest first; `front_pos` marks how much of
+    /// the front frame already left. Keeping whole frames instead of one
+    /// flat byte buffer is what lets the flush path hand the entire queue
+    /// to `writev` in one syscall.
+    out: VecDeque<Frame>,
     front_pos: usize,
-    /// A `Get` is checked out to the worker pool; further frames wait in
-    /// `backlog` so replies keep request order.
-    busy: bool,
-    backlog: VecDeque<Message>,
+    /// Replies not yet released, in request order: `slots[i]` answers
+    /// request `head_seq + i`. `None` is a `Get` still at the worker
+    /// pool. The head slot is always `None`: a filled head is released at
+    /// once.
+    slots: VecDeque<Option<Frame>>,
+    head_seq: u64,
     /// Set once the shard abandons the connection (or the engine is
     /// tearing down); writers stop touching the socket.
     closed: bool,
@@ -391,6 +383,37 @@ struct ConnState {
 impl ConnState {
     fn wants_write(&self) -> bool {
         !self.out.is_empty()
+    }
+
+    /// Queues the reply to the request just read: released at once when
+    /// no earlier reply is pending, otherwise parked in a slot of its own.
+    fn reply(&mut self, frame: Frame) {
+        if self.slots.is_empty() {
+            self.out.push_back(frame);
+        } else {
+            self.slots.push_back(Some(frame));
+        }
+    }
+
+    /// Opens the slot for a `Get` going to the worker pool and returns its
+    /// sequence number.
+    fn open_slot(&mut self) -> u64 {
+        let seq = self.head_seq + self.slots.len() as u64;
+        self.slots.push_back(None);
+        seq
+    }
+
+    /// Fills slot `seq`; if that completes the head, moves the ready
+    /// prefix onto the out-queue.
+    fn fill(&mut self, seq: u64, frame: Frame) {
+        let index = seq.wrapping_sub(self.head_seq) as usize;
+        if let Some(slot) = self.slots.get_mut(index) {
+            *slot = Some(frame);
+        }
+        while let Some(Some(_)) = self.slots.front() {
+            self.out.extend(self.slots.pop_front().flatten());
+            self.head_seq += 1;
+        }
     }
 }
 
@@ -494,8 +517,8 @@ impl Shard {
                 state: Mutex::new(ConnState {
                     out: VecDeque::new(),
                     front_pos: 0,
-                    busy: false,
-                    backlog: VecDeque::new(),
+                    slots: VecDeque::new(),
+                    head_seq: 0,
                     closed: false,
                 }),
             });
@@ -551,6 +574,8 @@ impl Shard {
                             Err(_) => return false,
                         }
                     }
+                    // Every reply this chunk released leaves in one writev.
+                    self.flush_and_rearm(token);
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -559,54 +584,35 @@ impl Shard {
         }
     }
 
-    /// Routes one frame under the connection lock: parked if a `Get` is in
-    /// flight, a missing `Get` to the worker pool, everything else
-    /// (including locally-hit `Get`s) answered inline. Returns false when
-    /// the connection should be torn down.
+    /// Routes one frame under the connection lock: a missing `Get` to the
+    /// worker pool with a fresh reply slot, everything else (including
+    /// locally-hit `Get`s) answered at once, in request order behind any
+    /// open slot. The caller flushes. Returns false when the connection
+    /// should be torn down.
     fn deliver(&mut self, token: u64, msg: Message) -> bool {
         let Some(conn) = self.conns.get(&token) else {
             return false;
         };
         let shared = Arc::clone(&conn.shared);
-        // bh-lint: allow(lock-order, reason = "the per-connection state lock IS the frame-write serializer; the socket is nonblocking, so writes under it only fill the kernel buffer and queue the rest")
         let mut state = shared.state.lock();
         if state.closed {
             return false;
         }
-        if state.busy {
-            state.backlog.push_back(msg);
-            return true;
-        }
-        match msg {
+        let reply = match msg {
             Message::Get { url } => {
                 // Drain (mesh API) outranks the local-hit fast path: a
                 // drained node turns every client `Get` away.
                 if self.inner.drained() {
-                    reject_get(
-                        &self.inner,
-                        &shared.stream,
-                        &mut state,
-                        &mut self.scratch,
-                        &url,
-                        0,
-                    );
+                    reject_get(&self.inner, &url, 0)
                 } else if let Some(reply) = local_hit(&self.inner, &url) {
-                    reply.encode(&mut self.scratch);
-                    send_frame(&shared.stream, &mut state, &self.scratch);
-                } else if let Err(depth) = self.jobs.admit(&self.inner) {
-                    reject_get(
-                        &self.inner,
-                        &shared.stream,
-                        &mut state,
-                        &mut self.scratch,
-                        &url,
-                        depth,
-                    );
+                    reply
+                } else if let Err(depth) = self.jobs.admission.admit(&self.inner) {
+                    reject_get(&self.inner, &url, depth)
                 } else {
-                    state.busy = true;
                     let job = WorkerJob {
                         shard: self.id,
                         token,
+                        seq: state.open_slot(),
                         url,
                         conn: Arc::clone(&shared),
                     };
@@ -615,15 +621,13 @@ impl Shard {
                         self.inner.metrics.service_errors.inc();
                         return false;
                     }
+                    return true;
                 }
             }
-            other => {
-                let reply = local_response(&self.inner, other);
-                reply.encode(&mut self.scratch);
-                send_frame(&shared.stream, &mut state, &self.scratch);
-            }
-        }
-        !state.closed
+            other => local_response(&self.inner, other),
+        };
+        state.reply(Frame::new(&reply, &mut self.scratch));
+        true
     }
 
     /// Pushes queued bytes and keeps the poller's interest set in sync
@@ -635,7 +639,13 @@ impl Shard {
         let want = {
             // bh-lint: allow(lock-order, reason = "draining queued bytes to the nonblocking socket is exactly what this lock serializes; write_some returns WouldBlock instead of waiting")
             let mut state = conn.shared.state.lock();
-            if write_some(&conn.shared.stream, &mut state, &self.inner).is_err() {
+            if write_some(
+                &conn.shared.stream,
+                &mut state,
+                &self.inner.metrics.writev_batches,
+            )
+            .is_err()
+            {
                 drop(state);
                 self.close(token);
                 return;
@@ -667,53 +677,31 @@ impl Shard {
     }
 }
 
-/// Queues an encoded frame on a connection, writing it straight to the
-/// socket when nothing is already queued — the common case, which skips a
-/// full copy of the frame (reply bodies dominate the bytes moved). Only
-/// the unsent tail, if any, is buffered. Callers hold the connection lock.
-fn send_frame(stream: &TcpStream, state: &mut ConnState, frame: &[u8]) {
-    if state.closed {
-        return;
-    }
-    let mut sent = 0;
-    if !state.wants_write() {
-        while sent < frame.len() {
-            match (&*stream).write(&frame[sent..]) {
-                Ok(0) => {
-                    state.closed = true;
-                    return;
-                }
-                Ok(n) => sent += n,
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    state.closed = true;
-                    return;
-                }
-            }
-        }
-    }
-    if sent < frame.len() {
-        // bh-lint: allow(no-hot-alloc, reason = "only the unsent tail of a short write is copied; the fast path above writes the caller's scratch buffer in place")
-        state.out.push_back(Bytes::from(frame[sent..].to_vec()));
-    }
-}
-
 /// Writes as much of the out-queue as the socket accepts right now, whole
-/// frames gathered into one `writev` per syscall. Callers hold the
-/// connection lock.
-fn write_some(stream: &TcpStream, state: &mut ConnState, inner: &Inner) -> io::Result<()> {
+/// frames gathered into one `writev` per syscall (a frame's head and body
+/// are separate iovecs), counting in `batches` each syscall that carries
+/// more than one reply. Callers hold the connection lock.
+fn write_some(stream: &TcpStream, state: &mut ConnState, batches: &Counter) -> io::Result<()> {
     while state.wants_write() {
         let empty: &[u8] = &[];
         let mut bufs = [IoSlice::new(empty); bh_netpoll::MAX_IOV];
         let mut cnt = 0usize;
-        for (i, frame) in state.out.iter().take(bh_netpoll::MAX_IOV).enumerate() {
-            bufs[i] = IoSlice::new(if i == 0 {
-                &frame[state.front_pos..]
-            } else {
-                frame
-            });
-            cnt += 1;
+        let mut frames = 0usize;
+        let mut skip = state.front_pos;
+        for frame in &state.out {
+            if cnt + 2 > bh_netpoll::MAX_IOV {
+                break;
+            }
+            for part in frame.parts() {
+                if skip >= part.len() {
+                    skip -= part.len();
+                    continue;
+                }
+                bufs[cnt] = IoSlice::new(&part[skip..]);
+                skip = 0;
+                cnt += 1;
+            }
+            frames += 1;
         }
         let wrote = match bh_netpoll::write_vectored(stream, &bufs[..cnt]) {
             Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero)),
@@ -721,21 +709,117 @@ fn write_some(stream: &TcpStream, state: &mut ConnState, inner: &Inner) -> io::R
             Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) => return Err(e),
         };
-        if cnt > 1 {
-            inner.metrics.writev_batches.inc();
+        if frames > 1 {
+            batches.inc();
         }
         let mut remaining = wrote;
-        while remaining > 0 && !state.out.is_empty() {
-            let front_left = state.out[0].len() - state.front_pos;
-            if remaining >= front_left {
-                remaining -= front_left;
-                state.out.pop_front();
-                state.front_pos = 0;
-            } else {
+        while let Some(front) = state.out.front() {
+            let front_left = front.len() - state.front_pos;
+            if remaining < front_left {
                 state.front_pos += remaining;
-                remaining = 0;
+                break;
             }
+            remaining -= front_left;
+            state.out.pop_front();
+            state.front_pos = 0;
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bh_obs::{Determinism, Registry, Unit};
+
+    fn conn_state() -> ConnState {
+        ConnState {
+            out: VecDeque::new(),
+            front_pos: 0,
+            slots: VecDeque::new(),
+            head_seq: 0,
+            closed: false,
+        }
+    }
+
+    fn body_reply(fill: u8, len: usize) -> Message {
+        Message::GetReply {
+            status: Status::Ok,
+            version: 1,
+            served_by: ServedBy::Local,
+            body: Bytes::from(vec![fill; len]),
+        }
+    }
+
+    fn released(state: &ConnState) -> Vec<u8> {
+        state.out.iter().flat_map(|f| f.parts().concat()).collect()
+    }
+
+    /// Slots filled out of order release only a ready prefix, in request
+    /// order, and a reply behind an open slot waits for it.
+    #[test]
+    fn slots_release_ready_prefix_in_request_order() {
+        let mut scratch = BytesMut::with_capacity(64);
+        let mut state = conn_state();
+        let requests = [
+            body_reply(1, 10),
+            Message::Ack,
+            body_reply(3, 30),
+            body_reply(4, 40),
+        ];
+        let first = state.open_slot();
+        state.reply(Frame::new(&requests[1], &mut scratch));
+        let third = state.open_slot();
+        let fourth = state.open_slot();
+        state.fill(fourth, Frame::new(&requests[3], &mut scratch));
+        state.fill(third, Frame::new(&requests[2], &mut scratch));
+        assert!(state.out.is_empty(), "nothing passes the open head slot");
+        state.fill(first, Frame::new(&requests[0], &mut scratch));
+        assert!(state.slots.is_empty());
+        assert_eq!(state.head_seq, 4);
+        let want: Vec<u8> = requests.iter().flat_map(|m| m.encoded().to_vec()).collect();
+        assert_eq!(released(&state), want);
+        // With no slot open, a reply is released at once.
+        state.reply(Frame::new(&Message::Ack, &mut scratch));
+        assert_eq!(state.out.len(), 5);
+    }
+
+    /// Short writes resume mid-frame, across the head/body iovec split:
+    /// the peer receives exactly the encoded frames, in order.
+    #[test]
+    fn write_some_resumes_short_writes_byte_exact() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        server.set_nonblocking(true).expect("nonblocking");
+        let batches = Registry::new().counter("b", Unit::Count, "b", Determinism::Measured);
+
+        // Far more than loopback socket buffers hold, so writes come up short.
+        let mut scratch = BytesMut::with_capacity(64);
+        let mut state = conn_state();
+        let mut want = Vec::new();
+        for i in 0..256u32 {
+            let reply = if i % 3 == 0 {
+                Message::Ack
+            } else {
+                body_reply(i as u8, 65_536 + i as usize)
+            };
+            want.extend_from_slice(&reply.encoded());
+            state.reply(Frame::new(&reply, &mut scratch));
+        }
+
+        let mut got = Vec::with_capacity(want.len());
+        let mut buf = vec![0u8; 1 << 16];
+        while got.len() < want.len() {
+            write_some(&server, &mut state, &batches).expect("write");
+            // Either everything is written or the socket is full: there
+            // is always something to read until all bytes arrived.
+            let n = client.read(&mut buf).expect("read");
+            assert!(n > 0, "peer closed early");
+            got.extend_from_slice(&buf[..n]);
+        }
+        assert!(state.out.is_empty());
+        assert!(got == want, "byte stream differs from the encoded frames");
+        assert!(batches.get() > 0);
+    }
 }

@@ -111,9 +111,11 @@ pub struct NodeConfig {
     /// `Resync`, scrape) walks shards in index order so artifacts stay
     /// deterministic.
     pub hint_shards: usize,
-    /// Worker-queue high-water mark for admission control. `None` sizes
-    /// it from the worker count (`workers * 64`, at least 256); `Some(0)`
-    /// rejects every `Get` that would queue (useful in tests).
+    /// High-water mark for admission control: the most `Get`s a node has
+    /// at its worker pool (queued or being served) before it redirects
+    /// further misses to the origin. `None` sizes it from the worker
+    /// count (`workers * 64`, at least 256); `Some(0)` rejects every `Get`
+    /// that would reach the pool (useful in tests).
     pub admission_high_water: Option<usize>,
     /// Global cap on idle pooled connections across all remotes. `None`
     /// keeps the pool default (256). Wide meshes run many nodes per

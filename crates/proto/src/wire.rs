@@ -417,6 +417,33 @@ fn put_bytes(buf: &mut BytesMut, b: &Bytes) {
     buf.put_slice(b);
 }
 
+/// The `GetReply` payload up to and including the body's length prefix;
+/// the body itself follows.
+fn put_get_reply_head(
+    out: &mut BytesMut,
+    status: Status,
+    version: u32,
+    served_by: ServedBy,
+    body_len: usize,
+) {
+    out.put_u8(match status {
+        Status::Ok => 0,
+        Status::NotFound => 1,
+        Status::Error => 2,
+        Status::Redirect => 3,
+    });
+    out.put_u32_le(version);
+    match served_by {
+        ServedBy::Local => out.put_u8(0),
+        ServedBy::Peer(m) => {
+            out.put_u8(1);
+            out.put_u64_le(m.0);
+        }
+        ServedBy::Origin => out.put_u8(2),
+    }
+    out.put_u32_le(body_len as u32);
+}
+
 fn get_bytes(buf: &mut Bytes) -> io::Result<Bytes> {
     if buf.remaining() < 4 {
         return Err(io::Error::new(
@@ -477,22 +504,8 @@ impl Message {
                 served_by,
                 body,
             } => {
-                out.put_u8(match status {
-                    Status::Ok => 0,
-                    Status::NotFound => 1,
-                    Status::Error => 2,
-                    Status::Redirect => 3,
-                });
-                out.put_u32_le(*version);
-                match served_by {
-                    ServedBy::Local => out.put_u8(0),
-                    ServedBy::Peer(m) => {
-                        out.put_u8(1);
-                        out.put_u64_le(m.0);
-                    }
-                    ServedBy::Origin => out.put_u8(2),
-                }
-                put_bytes(out, body);
+                put_get_reply_head(out, *status, *version, *served_by, body.len());
+                out.put_slice(body);
                 T_GET_REPLY
             }
             Message::UpdateBatch(updates) => {
@@ -595,6 +608,32 @@ impl Message {
         let payload_len = (out.len() - 5) as u32;
         out[0..4].copy_from_slice(&payload_len.to_le_bytes());
         out[4] = ty;
+    }
+
+    /// Encodes the frame like [`Message::encode`], except that a
+    /// `GetReply` body is left out of `out` and returned instead. `out`
+    /// then holds the frame head, with the body already counted in both
+    /// length fields, and the caller sends the refcounted body as a
+    /// buffer of its own, so the body is never copied. Every other
+    /// variant is encoded whole and returns `None`.
+    pub fn encode_head(&self, out: &mut BytesMut) -> Option<&Bytes> {
+        let Message::GetReply {
+            status,
+            version,
+            served_by,
+            body,
+        } = self
+        else {
+            self.encode(out);
+            return None;
+        };
+        out.clear();
+        out.put_u32_le(0);
+        out.put_u8(T_GET_REPLY);
+        put_get_reply_head(out, *status, *version, *served_by, body.len());
+        let payload_len = (out.len() - 5 + body.len()) as u32;
+        out[0..4].copy_from_slice(&payload_len.to_le_bytes());
+        Some(body)
     }
 
     /// Encodes into a freshly allocated, framed [`Bytes`] buffer.

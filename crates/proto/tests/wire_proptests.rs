@@ -230,6 +230,18 @@ proptest! {
         prop_assert_eq!(decoded.unwrap(), msg);
     }
 
+    /// `encode_head` plus the body it returns is byte-identical to
+    /// `encode`: the split write path puts the same frame on the wire.
+    #[test]
+    fn encode_head_then_body_matches_encode(msg in arb_message()) {
+        let mut head = bytes::BytesMut::with_capacity(64);
+        let body = msg.encode_head(&mut head).cloned();
+        prop_assert_eq!(body.is_some(), matches!(msg, Message::GetReply { .. }));
+        let mut split = head.to_vec();
+        split.extend_from_slice(body.as_deref().unwrap_or_default());
+        prop_assert_eq!(&split[..], &msg.encoded()[..]);
+    }
+
     /// Reassembly is byte-boundary independent: delivering the frame in
     /// arbitrary chunks yields the same message.
     #[test]
