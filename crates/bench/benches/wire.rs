@@ -1,12 +1,13 @@
-//! Wire-format encode/decode throughput: hint-update batches are the
-//! protocol's steady-state traffic (20 bytes/record).
+//! Wire-format encode/decode throughput: authenticated hint batches are
+//! the protocol's steady-state traffic (20 bytes/record).
 
 use bh_proto::wire::{HintAction, HintUpdate, MachineId, Message};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 fn batch(n: u64) -> Message {
-    Message::UpdateBatch(
+    Message::hint_batch(
+        MachineId(1),
         (0..n)
             .map(|i| HintUpdate {
                 action: if i % 2 == 0 {

@@ -23,7 +23,7 @@ use crate::Args;
 use bh_obs::{Determinism, Registry, Unit};
 use bh_proto::chaos::{ChaosMesh, FaultKind, FaultPlan};
 use bh_proto::liveness::PeerHealth;
-use bh_proto::node::{NodeStats, ThreadingMode};
+use bh_proto::node::NodeStats;
 use bh_proto::replay::{replay_concurrent, ConcurrentReplayReport, ReplayConfig};
 use bh_trace::{TraceGenerator, TraceRecord, WorkloadSpec};
 use serde::Serialize;
@@ -303,8 +303,7 @@ pub fn run_chaos(args: &Args, opts: &ChaosOptions, plan: FaultPlan) -> bool {
     // Fast failure-detector settings: crash windows must reach confirmed
     // death (suspicion + confirmation window) inside the run.
     let mut mesh = ChaosMesh::spawn(opts.nodes, |c| {
-        c.with_mode(ThreadingMode::Sharded)
-            .with_shards(opts.shards)
+        c.with_shards(opts.shards)
             .with_workers(opts.workers)
             .with_flush_max(Duration::from_millis(25))
             .with_heartbeat_interval(Duration::from_millis(40))

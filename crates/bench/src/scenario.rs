@@ -39,7 +39,6 @@ use crate::report::{metric_values, write_obs_dump};
 use crate::Args;
 use bh_obs::{Determinism, Registry, Unit};
 use bh_proto::chaos::{analytic_churn_for, ChaosMesh, FaultKind, FaultPlan, FaultWindow, Topology};
-use bh_proto::node::ThreadingMode;
 use bh_trace::scenario::{ChurnKind, DiurnalChurnSpec, FlashCrowdSpec};
 use bh_trace::{TraceRecord, WorkloadSpec};
 use serde::{Deserialize, Serialize};
@@ -460,8 +459,7 @@ pub fn run_scenario(args: &Args, scenario: &Scenario) -> bool {
     };
 
     let mut mesh = ChaosMesh::spawn_topology(scenario.topology, |c| {
-        c.with_mode(ThreadingMode::Sharded)
-            .with_shards(opts.shards)
+        c.with_shards(opts.shards)
             .with_workers(opts.workers)
             .with_flush_max(Duration::from_millis(25))
             .with_heartbeat_interval(Duration::from_millis(40))

@@ -20,8 +20,8 @@
 //!   frame.
 //!
 //! On non-Linux targets the same API exists but every constructor returns
-//! [`std::io::ErrorKind::Unsupported`]; callers fall back to the legacy
-//! thread-per-connection engine there.
+//! [`std::io::ErrorKind::Unsupported`], so a cache node fails to spawn
+//! there.
 
 #![warn(missing_docs)]
 
@@ -294,7 +294,7 @@ mod imp {
     fn unsupported<T>() -> io::Result<T> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
-            "bh-netpoll requires Linux epoll; use the legacy threading mode",
+            "bh-netpoll requires Linux epoll; cache nodes run only on Linux",
         ))
     }
 

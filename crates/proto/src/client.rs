@@ -1,8 +1,8 @@
 //! Blocking client helpers for talking to cache nodes.
 
 use crate::wire::{
-    read_message, write_message, MachineId, Message, MetaEntry, MetaOp, MetaStatus, MetricEntry,
-    ServedBy, Status, TraceEvent,
+    read_message, write_message, MachineId, Message, MetaEntry, MetaOp, MetaStatus, ServedBy,
+    Status,
 };
 use bytes::Bytes;
 use std::io;
@@ -129,42 +129,6 @@ impl Connection {
         write_message(&mut self.stream, &Message::FindNearest { key })?;
         match read_message(&mut self.reader)? {
             Message::FindNearestReply { location } => Ok(location),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected reply {other:?}"),
-            )),
-        }
-    }
-
-    /// Scrapes the node's full obs-registry snapshot (the `Stats`
-    /// operator frame pair): every counter, pool gauge, and expanded
-    /// service-latency histogram bucket, sorted by name.
-    ///
-    /// # Errors
-    ///
-    /// Fails on protocol errors.
-    pub fn scrape_stats(&mut self) -> io::Result<Vec<MetricEntry>> {
-        write_message(&mut self.stream, &Message::StatsRequest)?;
-        match read_message(&mut self.reader)? {
-            Message::StatsReply(entries) => Ok(entries),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected reply {other:?}"),
-            )),
-        }
-    }
-
-    /// Scrapes the node's event-trace ring (the `Trace` operator frame
-    /// pair): the most recent service/propagation span events, oldest
-    /// first.
-    ///
-    /// # Errors
-    ///
-    /// Fails on protocol errors.
-    pub fn scrape_trace(&mut self) -> io::Result<Vec<TraceEvent>> {
-        write_message(&mut self.stream, &Message::TraceRequest)?;
-        match read_message(&mut self.reader)? {
-            Message::TraceReply(events) => Ok(events),
             other => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("unexpected reply {other:?}"),
@@ -301,24 +265,32 @@ mod tests {
         let mut conn = Connection::open(node.addr()).expect("open");
 
         conn.fetch("http://t.test/scrape").expect("fetch");
-        let stats = conn.scrape_stats().expect("scrape stats");
+        let stats = conn
+            .meta_get("mesh/nodes/self/metrics")
+            .expect("scrape metrics");
         assert!(
             stats
                 .iter()
-                .any(|e| e.name == "origin_fetches" && e.value == 1),
+                .any(|e| e.path.ends_with("/metrics/origin_fetches") && e.value == "1"),
             "origin fetch not visible in scrape: {stats:?}"
         );
         assert!(
             stats
                 .iter()
-                .any(|e| e.name == "request_service_micros.count"),
+                .any(|e| e.path.ends_with("/metrics/request_service_micros.count")),
             "service histogram missing from scrape"
         );
 
-        let trace = conn.scrape_trace().expect("scrape trace");
-        assert!(trace.iter().any(|e| e.kind == bh_obs::span::RECV));
-        assert!(trace.iter().any(|e| e.kind == bh_obs::span::ORIGIN_FETCH));
-        assert!(trace.iter().any(|e| e.kind == bh_obs::span::REPLY));
+        let trace = conn
+            .meta_list("mesh/nodes/self/trace")
+            .expect("scrape trace");
+        let has_span = |kind: u16| {
+            let needle = format!(" span={} ", bh_obs::span::name(kind));
+            trace.iter().any(|e| e.value.contains(&needle))
+        };
+        assert!(has_span(bh_obs::span::RECV));
+        assert!(has_span(bh_obs::span::ORIGIN_FETCH));
+        assert!(has_span(bh_obs::span::REPLY));
     }
 
     #[test]

@@ -18,14 +18,13 @@
 //!   directly to the named peer, and falls back to the origin server on a
 //!   false positive — misses never traverse a hierarchy.
 //!
-//! Threading: on Linux the node runs a sharded epoll engine — a fixed set
-//! of shard threads owns the accepted sockets and a bounded worker pool
-//! services requests that leave the process (peer probes, origin fetches)
-//! through pooled, retrying connections (see `node::engine`). This echoes
-//! the paper's event-driven Squid much more closely than the seed's
-//! thread-per-connection daemon, which survives as the portable fallback
-//! ([`node::ThreadingMode::Legacy`]) and as the baseline the `loadgen` benchmark
-//! measures the sharded engine against.
+//! Threading: the node runs a sharded epoll engine — a fixed set of shard
+//! threads owns the accepted sockets and a bounded worker pool services
+//! requests that leave the process (peer probes, origin fetches) through
+//! pooled, retrying connections (see `node::engine`). This echoes the
+//! paper's event-driven Squid. The engine needs Linux epoll, so cache
+//! nodes run only on Linux; elsewhere [`node::CacheNode::spawn`] fails
+//! with [`std::io::ErrorKind::Unsupported`].
 //!
 //! # Examples
 //!

@@ -8,8 +8,8 @@
 //!   round-robin to the shards through an injection channel + waker;
 //! * each **shard thread** runs a level-triggered epoll loop over its
 //!   connections, assembling frames incrementally and answering every
-//!   local-state frame (`PeerGet`, `UpdateBatch`/`HintBatch`, `Push`,
-//!   `FindNearest`) inline — a shard never performs outbound I/O, which
+//!   local-state frame (`PeerGet`, `HintBatch`, `Push`, `FindNearest`,
+//!   `MetaRequest`) inline — a shard never performs outbound I/O, which
 //!   is what makes peer-to-peer probing deadlock-free on a bounded
 //!   thread count;
 //! * `Get` frames that hit the local data cache are also answered on the

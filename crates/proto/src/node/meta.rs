@@ -278,8 +278,7 @@ fn handle_mesh(inner: &Arc<Inner>, op: MetaOp, rest: &[&str], value: &str) -> Me
 
 /// `.../metrics`: the obs registry. `List` answers the static catalog
 /// (names + units — deterministic); `Get` on the branch is the full
-/// scrape (the `obs scrape` compatibility surface); `Get` on a leaf is
-/// one value.
+/// scrape; `Get` on a leaf is one value.
 fn metrics_node(inner: &Arc<Inner>, op: MetaOp, rest: &[&str], root: &str) -> Message {
     match (op, rest) {
         (MetaOp::List, []) => ok(inner

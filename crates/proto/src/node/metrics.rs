@@ -57,8 +57,7 @@ pub struct NodeStats {
     /// Anti-entropy resync requests answered for restarting peers.
     pub resyncs_served: u64,
     /// Requests whose service path failed without a panic: a reply that
-    /// could not be delivered, a job the worker pool could not accept,
-    /// or a legacy connection thread that could not be spawned.
+    /// could not be delivered, or a job the worker pool could not accept.
     pub service_errors: u64,
     /// `Get` requests turned away with a redirect-to-origin reply because
     /// the worker queue was past its high-water mark.

@@ -8,19 +8,14 @@
 //! flushed to their neighbor set on a randomized period (§3.2's
 //! Floyd–Jacobson desynchronization).
 //!
-//! Two connection engines are available ([`ThreadingMode`]):
-//!
-//! * **Sharded** (default on Linux): a bounded set of epoll shard threads
-//!   owns all client and peer sockets, answering hint-module frames
-//!   inline and handing `Get` misses to a bounded worker pool. Outbound
-//!   traffic (peer probes, origin fetches, hint flushes) goes through a
-//!   warm [`crate::pool::ConnectionPool`], and flushes coalesce into
-//!   [`Message::HintBatch`] frames.
-//! * **Legacy**: the seed's one-OS-thread-per-connection design with a
-//!   fresh TCP connection per outbound request and uncoalesced
-//!   [`Message::UpdateBatch`] flushes — kept verbatim as the baseline the
-//!   load generator measures against, and as the fallback where epoll is
-//!   unavailable.
+//! Connections are served by one engine (`engine`): a bounded set of
+//! epoll shard threads owns all client and peer sockets, answering
+//! hint-module frames inline and handing `Get` misses to a bounded worker
+//! pool. Outbound traffic (peer probes, origin fetches, hint flushes) goes
+//! through a warm [`crate::pool::ConnectionPool`], and flushes coalesce
+//! into authenticated [`Message::HintBatch`] frames. The engine needs
+//! Linux epoll: elsewhere [`CacheNode::spawn`] fails with
+//! [`io::ErrorKind::Unsupported`].
 
 mod engine;
 mod meta;
@@ -31,8 +26,7 @@ pub use metrics::{NodeStats, NODE_TRACE_CAPACITY};
 use crate::liveness::{LivenessConfig, LivenessTracker, PeerHealth, Transition};
 use crate::pool::{ConnectionPool, PoolConfig, RequestOptions};
 use crate::wire::{
-    coalesce, hint_batch_tag, read_message, write_message, HintAction, HintUpdate, MachineId,
-    Message, ServedBy, Status,
+    coalesce, hint_batch_tag, HintAction, HintUpdate, MachineId, Message, ServedBy, Status,
 };
 use bh_cache::{HintCache, LruCache};
 use bh_hintlog::{HintLog, LogRecord};
@@ -49,28 +43,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Which connection engine a [`CacheNode`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreadingMode {
-    /// One OS thread per accepted connection, a fresh TCP connection per
-    /// outbound request, plain `UpdateBatch` flushes. The seed design.
-    Legacy,
-    /// Epoll shard threads plus a bounded worker pool, pooled outbound
-    /// connections, coalesced `HintBatch` flushes.
-    Sharded,
-}
-
-impl ThreadingMode {
-    /// The default engine for this target: sharded where epoll exists.
-    pub fn default_for_target() -> Self {
-        if cfg!(target_os = "linux") {
-            ThreadingMode::Sharded
-        } else {
-            ThreadingMode::Legacy
-        }
-    }
-}
 
 /// Configuration for a [`CacheNode`].
 #[derive(Debug, Clone)]
@@ -100,11 +72,9 @@ pub struct NodeConfig {
     pub flush_max: Duration,
     /// I/O timeout for peer and origin connections.
     pub io_timeout: Duration,
-    /// Connection engine (defaults to sharded on Linux, legacy elsewhere).
-    pub mode: ThreadingMode,
-    /// Epoll shard threads in sharded mode (min 1).
+    /// Epoll shard threads (min 1).
     pub shards: usize,
-    /// Worker threads servicing `Get` requests in sharded mode (min 1).
+    /// Worker threads servicing `Get` misses (min 1).
     pub workers: usize,
     /// Digest-partitioned hint-store shards (min 1). Lookups and batch
     /// applies lock only the owning shard; full iteration (purge,
@@ -157,7 +127,6 @@ impl NodeConfig {
             hint_capacity: ByteSize::from_mb(4),
             flush_max: Duration::from_secs(60),
             io_timeout: Duration::from_secs(5),
-            mode: ThreadingMode::default_for_target(),
             shards: 2,
             workers: 8,
             hint_shards: 8,
@@ -201,19 +170,13 @@ impl NodeConfig {
         self
     }
 
-    /// Selects the connection engine.
-    pub fn with_mode(mut self, mode: ThreadingMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Sets the epoll shard count (sharded mode).
+    /// Sets the epoll shard count.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
     }
 
-    /// Sets the `Get` worker-pool size (sharded mode).
+    /// Sets the `Get` worker-pool size.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -397,8 +360,8 @@ struct Inner {
     trace: Mutex<TraceRing>,
     started: Instant,
     shutdown: AtomicBool,
-    /// Warm outbound connections (sharded mode; heartbeat-only in legacy
-    /// mode, whose request path dials fresh connections).
+    /// Warm outbound connections: peer probes, origin fetches, hint
+    /// flushes, heartbeats and resyncs all go through it.
     pool: ConnectionPool,
     /// Peer failure detector fed by the heartbeat loop.
     liveness: Mutex<LivenessTracker>,
@@ -446,24 +409,22 @@ pub struct CacheNode {
     addr: SocketAddr,
     inner: Arc<Inner>,
     threads: Vec<std::thread::JoinHandle<()>>,
-    /// Wakers for the shard threads (empty in legacy mode); used to break
-    /// them out of `epoll_wait` at shutdown.
+    /// Wakers for the shard threads; used to break them out of
+    /// `epoll_wait` at shutdown.
     wakers: Vec<bh_netpoll::Waker>,
 }
 
 impl CacheNode {
-    /// Binds, spawns the accept loop and the update flusher.
+    /// Binds, spawns the connection engine, the update flusher and the
+    /// heartbeat loop.
     ///
     /// # Errors
     ///
     /// Propagates bind errors; fails for IPv6 binds (machine IDs are the
-    /// paper's 8-byte IPv4+port records).
-    pub fn spawn(mut config: NodeConfig) -> io::Result<Self> {
-        // Epoll only exists on Linux; everywhere else the sharded request
-        // silently becomes the portable legacy engine.
-        if !cfg!(target_os = "linux") {
-            config.mode = ThreadingMode::Legacy;
-        }
+    /// paper's 8-byte IPv4+port records), and with
+    /// [`io::ErrorKind::Unsupported`] off Linux, where the engine's epoll
+    /// poller does not exist.
+    pub fn spawn(config: NodeConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.bind)?;
         let addr = listener.local_addr()?;
         let machine = MachineId::from_addr(addr)
@@ -545,25 +506,10 @@ impl CacheNode {
             config,
         });
 
-        // bh-lint: allow(no-hot-alloc, reason = "node spawn runs once, not per request")
-        let mut threads = Vec::new();
-        // bh-lint: allow(no-hot-alloc, reason = "node spawn runs once, not per request")
-        let mut wakers = Vec::new();
-        match inner.config.mode {
-            ThreadingMode::Sharded => {
-                let engine = engine::spawn(listener, Arc::clone(&inner))?;
-                threads.extend(engine.threads);
-                wakers = engine.wakers;
-            }
-            ThreadingMode::Legacy => {
-                let inner = Arc::clone(&inner);
-                threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("cache-accept-{addr}"))
-                        .spawn(move || accept_loop(listener, inner))?,
-                );
-            }
-        }
+        let engine::Engine {
+            mut threads,
+            wakers,
+        } = engine::spawn(listener, Arc::clone(&inner))?;
         {
             let inner = Arc::clone(&inner);
             threads.push(
@@ -600,7 +546,7 @@ impl CacheNode {
 
     /// Counter snapshot as the typed view ([`NodeStats`]), derived from
     /// the registry — the same flat list [`CacheNode::metrics_snapshot`]
-    /// returns and the wire `Stats` frame answers.
+    /// returns and `Get mesh/nodes/<id>/metrics` answers.
     pub fn stats(&self) -> NodeStats {
         NodeStats::from_snapshot(&self.metrics_snapshot())
     }
@@ -897,26 +843,6 @@ fn store_body(inner: &Inner, key: u64, version: u32, body: Bytes) {
     }
 }
 
-fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
-    for stream in listener.incoming() {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let inner_conn = Arc::clone(&inner);
-        let spawned = std::thread::Builder::new()
-            .name("cache-conn".to_string())
-            .spawn(move || {
-                let _ = serve_connection(stream, inner_conn);
-            });
-        if spawned.is_err() {
-            // Thread exhaustion: drop the connection and account it
-            // rather than bringing the whole accept loop down.
-            inner.metrics.service_errors.inc();
-        }
-    }
-}
-
 fn flush_loop(inner: Arc<Inner>) {
     // Randomized period: uniform in [0, flush_max), re-drawn every round
     // (Floyd–Jacobson desynchronization). Sleep in short slices so shutdown
@@ -1047,42 +973,22 @@ fn flush_once(inner: &Inner) {
         targets.push(p);
     }
     targets.extend(inner.children.lock().iter().copied());
-    match inner.config.mode {
-        ThreadingMode::Sharded => {
-            // Coalesce first (an Add shadowed by a Remove never hits the
-            // wire), then one versioned HintBatch per target over a warm
-            // pooled connection. A dead target fails at most one fast
-            // probe and is quarantined; the flush never wedges on it.
-            let batch = coalesce(batch);
-            let targets_n = targets.len() as u64;
-            let msg = outbound_hint_batch(inner, batch.clone());
-            for neighbor in targets {
-                if let Ok(Message::Ack) =
-                    inner
-                        .pool
-                        .request(neighbor, RequestOptions::peer_probe(), &msg)
-                {
-                    inner.metrics.updates_sent.add(batch.len() as u64);
-                }
-            }
-            trace_event(inner, span::FLUSH_BATCH, batch.len() as u64, targets_n);
-        }
-        ThreadingMode::Legacy => {
-            let targets_n = targets.len() as u64;
-            let msg = Message::UpdateBatch(batch.clone());
-            for neighbor in targets {
-                if let Ok(mut s) = TcpStream::connect_timeout(&neighbor, inner.config.io_timeout) {
-                    let _ = s.set_write_timeout(Some(inner.config.io_timeout));
-                    let _ = s.set_read_timeout(Some(inner.config.io_timeout));
-                    if write_message(&mut s, &msg).is_ok() {
-                        let _ = read_message(&mut s); // Ack
-                        inner.metrics.updates_sent.add(batch.len() as u64);
-                    }
-                }
-            }
-            trace_event(inner, span::FLUSH_BATCH, batch.len() as u64, targets_n);
+    // Coalesce first (an Add shadowed by a Remove never hits the wire),
+    // then one versioned HintBatch per target over a warm pooled
+    // connection. A dead target fails at most one fast probe and is
+    // quarantined; the flush never wedges on it.
+    let batch = coalesce(batch);
+    let targets_n = targets.len() as u64;
+    let msg = outbound_hint_batch(inner, batch.clone());
+    for neighbor in targets {
+        if let Ok(Message::Ack) = inner
+            .pool
+            .request(neighbor, RequestOptions::peer_probe(), &msg)
+        {
+            inner.metrics.updates_sent.add(batch.len() as u64);
         }
     }
+    trace_event(inner, span::FLUSH_BATCH, batch.len() as u64, targets_n);
 }
 
 /// Builds the canonical Plaxton metadata tree over an ordered member
@@ -1260,7 +1166,7 @@ fn resync_now(inner: &Inner) -> usize {
             sender,
             updates,
             tag,
-        }) = exchange(inner, addr, opts, &Message::Resync)
+        }) = inner.pool.request(addr, opts, &Message::Resync)
         {
             // Resync replies are authenticated like any other batch:
             // a byzantine peer cannot seed a restarting node's hint
@@ -1280,36 +1186,14 @@ fn resync_now(inner: &Inner) -> usize {
     learned
 }
 
-/// One raw framed request/reply. The legacy engine opens a fresh
-/// connection per call (the seed behavior); the sharded engine goes
-/// through the pool with the caller's retry/quarantine policy.
-fn exchange(
-    inner: &Inner,
-    addr: SocketAddr,
-    opts: RequestOptions,
-    msg: &Message,
-) -> io::Result<Message> {
-    match inner.config.mode {
-        ThreadingMode::Sharded => inner.pool.request(addr, opts, msg),
-        ThreadingMode::Legacy => {
-            let mut s = TcpStream::connect_timeout(&addr, inner.config.io_timeout)?;
-            s.set_nodelay(true)?;
-            s.set_read_timeout(Some(inner.config.io_timeout))?;
-            s.set_write_timeout(Some(inner.config.io_timeout))?;
-            write_message(&mut s, msg)?;
-            read_message(&mut s)
-        }
-    }
-}
-
-/// One outbound `Get`-shaped request/reply via [`exchange`].
+/// One outbound `Get`-shaped request/reply through the connection pool.
 fn fetch_from(
     inner: &Inner,
     addr: SocketAddr,
     opts: RequestOptions,
     msg: &Message,
 ) -> io::Result<(Status, u32, Bytes)> {
-    match exchange(inner, addr, opts, msg)? {
+    match inner.pool.request(addr, opts, msg)? {
         Message::GetReply {
             status,
             version,
@@ -1324,8 +1208,8 @@ fn fetch_from(
 }
 
 /// Step 1 of a `Get`: the local data cache. Purely in-memory (a mutex and
-/// two map lookups), so the sharded engine answers hits inline on the
-/// shard thread instead of paying the worker-pool round trip.
+/// two map lookups), so the engine answers hits inline on the shard
+/// thread instead of paying the worker-pool round trip.
 fn local_hit(inner: &Inner, url: &str) -> Option<Message> {
     let key = bh_md5::url_key(url);
     let mut store = inner.store.lock();
@@ -1477,8 +1361,8 @@ fn service_get(inner: &Inner, url: &str, key: u64) -> Message {
 
 /// Applies a received update batch to the hint store with the §3.1.2
 /// filtering, queueing the state-changing subset for hierarchical
-/// re-propagation. Shared by both connection engines and both batch frames
-/// (`UpdateBatch` and `HintBatch`).
+/// re-propagation. Shared by authenticated `HintBatch` frames and
+/// authenticated `Resync` replies.
 fn apply_updates(inner: &Inner, updates: Vec<HintUpdate>) {
     let hierarchical = inner.parent.lock().is_some() || !inner.children.lock().is_empty();
     // Each hint shard is locked once per batch: pass `s` sweeps the
@@ -1539,7 +1423,7 @@ fn apply_updates(inner: &Inner, updates: Vec<HintUpdate>) {
 /// Answers every frame that can be served from purely local state — the
 /// hint-module commands, pushes, and the meta namespace. `Get` is *not*
 /// local (it may probe a peer or the origin) and is answered with an
-/// error here; both engines route it to [`handle_get`] before calling
+/// error here; the engine routes it to [`handle_get`] before calling
 /// this. Takes the `Arc` (not `&Inner`) because meta control writes that
 /// imply outbound I/O (`control/resync`, `control/flush`) must detach
 /// onto their own thread — shard threads never perform outbound I/O.
@@ -1574,10 +1458,6 @@ fn local_response(inner: &Arc<Inner>, msg: Message) -> Message {
                     body: Bytes::new(),
                 }
             }
-        }
-        Message::UpdateBatch(updates) => {
-            apply_updates(inner, updates);
-            Message::Ack
         }
         Message::HintBatch {
             sender,
@@ -1626,35 +1506,12 @@ fn local_response(inner: &Arc<Inner>, msg: Message) -> Message {
             inner.metrics.resyncs_served.inc();
             outbound_hint_batch(inner, updates)
         }
-        // Legacy operator scrape frames, kept for wire compatibility.
-        // Each is a fixed spelling of one namespace read over the same
-        // data: `StatsRequest` ≡ `Get mesh/nodes/self/metrics`,
-        // `TraceRequest` ≡ `List mesh/nodes/self/trace` (numeric rather
-        // than rendered). New clients use `MetaRequest`.
-        Message::StatsRequest => Message::StatsReply(inner.metrics.snapshot_with_pool(&inner.pool)),
-        Message::TraceRequest => Message::TraceReply(inner.trace.lock().snapshot()),
         _ => Message::GetReply {
             status: Status::Error,
             version: 0,
             served_by: ServedBy::Local,
             body: Bytes::new(),
         },
-    }
-}
-
-fn serve_connection(mut stream: TcpStream, inner: Arc<Inner>) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    loop {
-        let msg = match read_message(&mut stream) {
-            Ok(m) => m,
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        let reply = match msg {
-            Message::Get { url } => handle_get(&inner, &url),
-            other => local_response(&inner, other),
-        };
-        write_message(&mut stream, &reply)?;
     }
 }
 

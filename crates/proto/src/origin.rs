@@ -161,7 +161,7 @@ fn accept_loop(
         std::thread::Builder::new()
             .name("origin-conn".to_string())
             .spawn(move || {
-                let _ = serve_connection(stream, state, requests, delay);
+                let _ = serve_origin_connection(stream, state, requests, delay);
                 conns.lock().remove(&id);
             })
             // bh-lint: allow(no-panic-hot-path, reason = "test-harness origin server; failing to spawn a connection thread is unrecoverable and loud beats silent")
@@ -220,7 +220,7 @@ pub fn synthetic_body(url: &str) -> Bytes {
     Bytes::from(out)
 }
 
-fn serve_connection(
+fn serve_origin_connection(
     mut stream: TcpStream,
     state: Arc<Mutex<OriginState>>,
     requests: Arc<AtomicU64>,

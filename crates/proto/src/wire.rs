@@ -9,8 +9,6 @@
 //! of the MD5 signature of the object's URL), and an 8-byte machine
 //! identifier (an IP address and port number)."
 
-pub use bh_obs::{MetricEntry, TraceEvent};
-
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{self, Read, Write};
 
@@ -203,20 +201,16 @@ pub enum Message {
         /// The body (empty unless `status == Ok`).
         body: Bytes,
     },
-    /// A batch of hint updates ("HTTP POST to route://updates" in the
-    /// prototype; a first-class frame here).
-    UpdateBatch(Vec<HintUpdate>),
-    /// A coalesced multi-record hint flush: like [`Message::UpdateBatch`]
-    /// but carrying a leading version byte so the batching format can
-    /// evolve without burning a frame type. Version
-    /// [`HINT_BATCH_VERSION`] payloads are `u8 version | u64 sender |
-    /// u32 count | count × 20-byte records | 16-byte tag`, where `tag`
-    /// is the sender's keyed-MD5 authenticator over the batch
-    /// ([`hint_batch_tag`]) — receivers verify it before applying and
-    /// quarantine peers whose batches keep failing. Receivers keep
-    /// decoding `UpdateBatch` forever, so old senders interoperate with
-    /// new nodes. Build with [`Message::hint_batch`], which computes the
-    /// tag.
+    /// A coalesced batch of hint updates (the prototype's "HTTP POST to
+    /// route://updates"; a first-class frame here), carrying a leading
+    /// version byte so the batching format can evolve without burning a
+    /// frame type. Version [`HINT_BATCH_VERSION`] payloads are
+    /// `u8 version | u64 sender | u32 count | count × 20-byte records |
+    /// 16-byte tag`, where `tag` is the sender's keyed-MD5 authenticator
+    /// over the batch ([`hint_batch_tag`]) — receivers verify it before
+    /// applying and quarantine peers whose batches keep failing. This is
+    /// the only frame that carries hint updates. Build with
+    /// [`Message::hint_batch`], which computes the tag.
     HintBatch {
         /// Who flushed the batch (the authenticator key is per-sender).
         sender: MachineId,
@@ -254,7 +248,7 @@ pub enum Message {
         /// New body.
         body: Bytes,
     },
-    /// Acknowledgement for `UpdateBatch` / `Push` / `OriginPut`.
+    /// Acknowledgement for `HintBatch` / `Push` / `OriginPut`.
     Ack,
     /// Liveness heartbeat: "are you there?". Reply is [`Message::Ack`].
     /// Carries no payload — reachability is the only question.
@@ -264,19 +258,6 @@ pub enum Message {
     /// of `Add` records for every object in its *own* cache, letting the
     /// asker rebuild the hint table it lost in the crash (§3.2 recovery).
     Resync,
-    /// Operator scrape: ask a node for its full metrics-registry snapshot.
-    /// Reply is [`Message::StatsReply`].
-    StatsRequest,
-    /// Reply to [`Message::StatsRequest`]: every registered metric as a
-    /// name-sorted `(name, value)` list — counters, refreshed pool gauges,
-    /// and expanded histogram buckets alike.
-    StatsReply(Vec<MetricEntry>),
-    /// Operator scrape: ask a node for its retained trace ring. Reply is
-    /// [`Message::TraceReply`].
-    TraceRequest,
-    /// Reply to [`Message::TraceRequest`]: retained trace records, oldest
-    /// first. Fixed 26-byte encode per record.
-    TraceReply(Vec<TraceEvent>),
     /// Path-addressed read or control write against the node's meta
     /// namespace (the mesh API). Payload leads with
     /// [`META_API_VERSION`] so the namespace can evolve without burning
@@ -304,7 +285,6 @@ pub enum Message {
 const T_GET: u8 = 1;
 const T_PEER_GET: u8 = 2;
 const T_GET_REPLY: u8 = 3;
-const T_UPDATE_BATCH: u8 = 4;
 const T_PUSH: u8 = 5;
 const T_FIND_NEAREST: u8 = 6;
 const T_FIND_NEAREST_REPLY: u8 = 7;
@@ -313,19 +293,14 @@ const T_ACK: u8 = 9;
 const T_HINT_BATCH: u8 = 10;
 const T_PING: u8 = 11;
 const T_RESYNC: u8 = 12;
-const T_STATS_REQUEST: u8 = 13;
-const T_STATS_REPLY: u8 = 14;
-const T_TRACE_REQUEST: u8 = 15;
-const T_TRACE_REPLY: u8 = 16;
 const T_META_REQUEST: u8 = 17;
 const T_META_REPLY: u8 = 18;
 
-/// Bytes of one encoded [`TraceEvent`]: `u64 ts | u16 kind | u64 a | u64 b`.
-const TRACE_EVENT_BYTES: usize = 26;
-
-/// Minimum bytes of one encoded [`MetricEntry`]: `u32 len | name | u64 value`
-/// with an empty name.
-const METRIC_ENTRY_MIN_BYTES: usize = 12;
+// Reserved tags, never to be reused: 0 was never assigned, 4 was the
+// unauthenticated plain hint-update batch (superseded by `HintBatch`), and
+// 13–16 were the stats/trace operator scrape frames (the meta namespace
+// serves both). They decode as unknown tags (`InvalidData`), so a node
+// closes any connection that sends one.
 
 /// Minimum bytes of one encoded [`MetaEntry`]: two length-prefixed strings,
 /// both empty (`u32 len | path | u32 len | value`).
@@ -508,13 +483,6 @@ impl Message {
                 out.put_slice(body);
                 T_GET_REPLY
             }
-            Message::UpdateBatch(updates) => {
-                out.put_u32_le(updates.len() as u32);
-                for u in updates {
-                    u.encode(out);
-                }
-                T_UPDATE_BATCH
-            }
             Message::HintBatch {
                 sender,
                 updates,
@@ -558,26 +526,6 @@ impl Message {
             Message::Ack => T_ACK,
             Message::Ping => T_PING,
             Message::Resync => T_RESYNC,
-            Message::StatsRequest => T_STATS_REQUEST,
-            Message::StatsReply(entries) => {
-                out.put_u32_le(entries.len() as u32);
-                for e in entries {
-                    put_string(out, &e.name);
-                    out.put_u64_le(e.value);
-                }
-                T_STATS_REPLY
-            }
-            Message::TraceRequest => T_TRACE_REQUEST,
-            Message::TraceReply(events) => {
-                out.put_u32_le(events.len() as u32);
-                for ev in events {
-                    out.put_u64_le(ev.ts_micros);
-                    out.put_u16_le(ev.kind);
-                    out.put_u64_le(ev.a);
-                    out.put_u64_le(ev.b);
-                }
-                T_TRACE_REPLY
-            }
             Message::MetaRequest { op, path, value } => {
                 out.put_u8(META_API_VERSION);
                 out.put_u8(match op {
@@ -704,23 +652,6 @@ impl Message {
                     body: get_bytes(buf)?,
                 }
             }
-            T_UPDATE_BATCH => {
-                if buf.remaining() < 4 {
-                    return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "short batch"));
-                }
-                let n = buf.get_u32_le() as usize;
-                if n > (MAX_FRAME as usize) / HINT_UPDATE_BYTES {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "oversized batch",
-                    ));
-                }
-                let mut updates = Vec::with_capacity(n);
-                for _ in 0..n {
-                    updates.push(HintUpdate::decode(buf)?);
-                }
-                Message::UpdateBatch(updates)
-            }
             T_HINT_BATCH => {
                 if buf.remaining() < 13 + HINT_TAG_BYTES {
                     return Err(io::Error::new(
@@ -823,69 +754,6 @@ impl Message {
             T_ACK => Message::Ack,
             T_PING => Message::Ping,
             T_RESYNC => Message::Resync,
-            T_STATS_REQUEST => Message::StatsRequest,
-            T_STATS_REPLY => {
-                if buf.remaining() < 4 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "short stats reply",
-                    ));
-                }
-                let n = buf.get_u32_le() as usize;
-                if n > (MAX_FRAME as usize) / METRIC_ENTRY_MIN_BYTES {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "oversized stats reply",
-                    ));
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = get_string(buf)?;
-                    if buf.remaining() < 8 {
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "short metric value",
-                        ));
-                    }
-                    entries.push(MetricEntry {
-                        name,
-                        value: buf.get_u64_le(),
-                    });
-                }
-                Message::StatsReply(entries)
-            }
-            T_TRACE_REQUEST => Message::TraceRequest,
-            T_TRACE_REPLY => {
-                if buf.remaining() < 4 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "short trace reply",
-                    ));
-                }
-                let n = buf.get_u32_le() as usize;
-                if n > (MAX_FRAME as usize) / TRACE_EVENT_BYTES {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "oversized trace reply",
-                    ));
-                }
-                if buf.remaining() < n * TRACE_EVENT_BYTES {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "short trace records",
-                    ));
-                }
-                let mut events = Vec::with_capacity(n);
-                for _ in 0..n {
-                    events.push(TraceEvent {
-                        ts_micros: buf.get_u64_le(),
-                        kind: buf.get_u16_le(),
-                        a: buf.get_u64_le(),
-                        b: buf.get_u64_le(),
-                    });
-                }
-                Message::TraceReply(events)
-            }
             T_META_REQUEST => {
                 if buf.remaining() < 2 {
                     return Err(io::Error::new(
@@ -1058,23 +926,6 @@ pub fn decode_message_legacy(ty: u8, payload: &[u8]) -> io::Result<Message> {
                 body: legacy_bytes(buf)?,
             }
         }
-        T_UPDATE_BATCH => {
-            if buf.remaining() < 4 {
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "short batch"));
-            }
-            let n = buf.get_u32_le() as usize;
-            if n > (MAX_FRAME as usize) / HINT_UPDATE_BYTES {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "oversized batch",
-                ));
-            }
-            let mut updates = Vec::with_capacity(n);
-            for _ in 0..n {
-                updates.push(HintUpdate::decode(buf)?);
-            }
-            Message::UpdateBatch(updates)
-        }
         T_HINT_BATCH => {
             if buf.remaining() < 13 + HINT_TAG_BYTES {
                 return Err(io::Error::new(
@@ -1177,69 +1028,6 @@ pub fn decode_message_legacy(ty: u8, payload: &[u8]) -> io::Result<Message> {
         T_ACK => Message::Ack,
         T_PING => Message::Ping,
         T_RESYNC => Message::Resync,
-        T_STATS_REQUEST => Message::StatsRequest,
-        T_STATS_REPLY => {
-            if buf.remaining() < 4 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "short stats reply",
-                ));
-            }
-            let n = buf.get_u32_le() as usize;
-            if n > (MAX_FRAME as usize) / METRIC_ENTRY_MIN_BYTES {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "oversized stats reply",
-                ));
-            }
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let name = legacy_string(buf)?;
-                if buf.remaining() < 8 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "short metric value",
-                    ));
-                }
-                entries.push(MetricEntry {
-                    name,
-                    value: buf.get_u64_le(),
-                });
-            }
-            Message::StatsReply(entries)
-        }
-        T_TRACE_REQUEST => Message::TraceRequest,
-        T_TRACE_REPLY => {
-            if buf.remaining() < 4 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "short trace reply",
-                ));
-            }
-            let n = buf.get_u32_le() as usize;
-            if n > (MAX_FRAME as usize) / TRACE_EVENT_BYTES {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "oversized trace reply",
-                ));
-            }
-            if buf.remaining() < n * TRACE_EVENT_BYTES {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "short trace records",
-                ));
-            }
-            let mut events = Vec::with_capacity(n);
-            for _ in 0..n {
-                events.push(TraceEvent {
-                    ts_micros: buf.get_u64_le(),
-                    kind: buf.get_u16_le(),
-                    a: buf.get_u64_le(),
-                    b: buf.get_u64_le(),
-                });
-            }
-            Message::TraceReply(events)
-        }
         T_META_REQUEST => {
             if buf.remaining() < 2 {
                 return Err(io::Error::new(
@@ -1532,19 +1320,6 @@ mod tests {
                 served_by: ServedBy::Local,
                 body: Bytes::new(),
             },
-            Message::UpdateBatch(vec![
-                HintUpdate {
-                    action: HintAction::Add,
-                    object: 1,
-                    machine: MachineId(2),
-                },
-                HintUpdate {
-                    action: HintAction::Remove,
-                    object: 3,
-                    machine: MachineId(4),
-                },
-            ]),
-            Message::UpdateBatch(vec![]),
             Message::hint_batch(
                 MachineId(11),
                 vec![
@@ -1673,11 +1448,13 @@ mod tests {
     }
 
     #[test]
-    fn update_batch_frame_size_matches_paper_arithmetic() {
-        // A batch of N updates costs 5 (frame) + 4 (count) + 20N bytes —
-        // the paper's "20 bytes per update".
+    fn hint_batch_frame_size_matches_paper_arithmetic() {
+        // A batch of N updates costs a fixed 34-byte envelope — 5 (frame)
+        // + 1 (version) + 8 (sender) + 4 (count) + 16 (tag) — plus 20N
+        // bytes: the paper's "20 bytes per update".
         let n = 100;
-        let batch = Message::UpdateBatch(
+        let batch = Message::hint_batch(
+            MachineId(1),
             (0..n)
                 .map(|i| HintUpdate {
                     action: HintAction::Add,
@@ -1686,11 +1463,11 @@ mod tests {
                 })
                 .collect(),
         );
-        assert_eq!(batch.encoded().len(), 5 + 4 + 20 * n as usize);
+        assert_eq!(batch.encoded().len(), 34 + 20 * n as usize);
     }
 
     #[test]
-    fn hint_batch_is_versioned_and_update_batch_still_decodes() {
+    fn hint_batch_is_versioned_and_retired_update_batch_tag_is_rejected() {
         let updates = vec![HintUpdate {
             action: HintAction::Add,
             object: 1,
@@ -1712,11 +1489,15 @@ mod tests {
         let err = Message::decode(T_HINT_BATCH, payload.freeze()).expect_err("future version");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
-        // The legacy frame keeps working alongside the new one.
-        assert_eq!(
-            round_trip(Message::UpdateBatch(updates.clone())),
-            Message::UpdateBatch(updates)
-        );
+        // Tag 4, the retired unauthenticated batch, is an unknown frame —
+        // its old payload (`u32 count | 20-byte records`) included.
+        let mut payload = BytesMut::new();
+        payload.put_u32_le(updates.len() as u32);
+        for u in &updates {
+            u.encode(&mut payload);
+        }
+        let err = Message::decode(4, payload.freeze()).expect_err("retired tag");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

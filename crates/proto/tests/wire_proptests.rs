@@ -4,8 +4,7 @@
 
 use bh_proto::wire::{
     decode_message_legacy, read_message, write_message, FrameAssembler, HintAction, HintUpdate,
-    MachineId, Message, MetaEntry, MetaOp, MetaStatus, MetricEntry, ServedBy, Status, TraceEvent,
-    MAX_FRAME,
+    MachineId, Message, MetaEntry, MetaOp, MetaStatus, ServedBy, Status, MAX_FRAME,
 };
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -67,29 +66,6 @@ fn arb_served_by() -> BoxedStrategy<ServedBy> {
     .boxed()
 }
 
-fn arb_metric_entry() -> BoxedStrategy<MetricEntry> {
-    (
-        proptest::collection::vec(any::<char>(), 0..16),
-        any::<u64>(),
-    )
-        .prop_map(|(chars, value)| MetricEntry {
-            name: chars.into_iter().collect(),
-            value,
-        })
-        .boxed()
-}
-
-fn arb_trace_event() -> BoxedStrategy<TraceEvent> {
-    (any::<u64>(), any::<u16>(), any::<u64>(), any::<u64>())
-        .prop_map(|(ts_micros, kind, a, b)| TraceEvent {
-            ts_micros,
-            kind,
-            a,
-            b,
-        })
-        .boxed()
-}
-
 fn arb_meta_op() -> BoxedStrategy<MetaOp> {
     prop_oneof![Just(MetaOp::Get), Just(MetaOp::List), Just(MetaOp::Set),].boxed()
 }
@@ -147,7 +123,6 @@ fn arb_message() -> BoxedStrategy<Message> {
                 body
             }
         ),
-        proptest::collection::vec(arb_hint_update(), 0..64).prop_map(Message::UpdateBatch),
         (
             any::<u64>(),
             proptest::collection::vec(arb_hint_update(), 0..64)
@@ -173,10 +148,6 @@ fn arb_message() -> BoxedStrategy<Message> {
         Just(Message::Ack),
         Just(Message::Ping),
         Just(Message::Resync),
-        Just(Message::StatsRequest),
-        proptest::collection::vec(arb_metric_entry(), 0..32).prop_map(Message::StatsReply),
-        Just(Message::TraceRequest),
-        proptest::collection::vec(arb_trace_event(), 0..64).prop_map(Message::TraceReply),
         (
             arb_meta_op(),
             arb_meta_path(),
@@ -195,6 +166,10 @@ fn arb_message() -> BoxedStrategy<Message> {
     ]
     .boxed()
 }
+
+/// Tags that no frame uses: 0 was never assigned, 4 and 13–16 are retired
+/// (plain hint batch, stats/trace scrape). They must decode as unknown.
+const RESERVED_TAGS: [u8; 6] = [0, 4, 13, 14, 15, 16];
 
 /// Splits `frame` into `(type, payload)` as the assembler would.
 fn frame_parts(frame: &[u8]) -> (u8, Bytes) {
@@ -299,10 +274,15 @@ proptest! {
         let _ = Message::decode(ty, Bytes::from(payload));
     }
 
-    /// Unknown frame types are always rejected.
+    /// Unknown and reserved frame types are always rejected.
     #[test]
-    fn unknown_frame_types_error(ty in 19u8..=255, payload in proptest::collection::vec(any::<u8>(), 0..64)) {
-        prop_assert!(Message::decode(ty, Bytes::from(payload)).is_err());
+    fn unknown_frame_types_error(
+        ty in prop_oneof![19u8..=255, (0usize..RESERVED_TAGS.len()).prop_map(|i| RESERVED_TAGS[i])],
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let err = Message::decode(ty, Bytes::from(payload.clone())).expect_err("unknown tag decoded");
+        prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        prop_assert!(decode_message_legacy(ty, &payload).is_err());
     }
 
     /// The zero-copy decoder is value-identical to the retained legacy
@@ -390,18 +370,12 @@ fn oversized_frames_rejected() {
 /// hold is rejected without attempting the allocation.
 #[test]
 fn oversized_batch_counts_rejected() {
-    for ty in [4u8, 10] {
-        // T_UPDATE_BATCH, T_HINT_BATCH
-        let mut payload = Vec::new();
-        if ty == 10 {
-            payload.push(bh_proto::wire::HINT_BATCH_VERSION);
-            payload.extend_from_slice(&7u64.to_le_bytes()); // sender
-        }
-        payload.extend_from_slice(&u32::MAX.to_le_bytes());
-        payload.extend_from_slice(&[0u8; 40]);
-        let err = Message::decode(ty, Bytes::from(payload));
-        assert!(err.is_err(), "type {ty} accepted an absurd batch count");
-    }
+    let mut payload = vec![bh_proto::wire::HINT_BATCH_VERSION];
+    payload.extend_from_slice(&7u64.to_le_bytes()); // sender
+    payload.extend_from_slice(&u32::MAX.to_le_bytes());
+    payload.extend_from_slice(&[0u8; 40]);
+    let err = Message::decode(10, Bytes::from(payload)); // T_HINT_BATCH
+    assert!(err.is_err(), "HintBatch accepted an absurd batch count");
 }
 
 /// `HintBatch` decoding is strictly versioned: a version byte newer than

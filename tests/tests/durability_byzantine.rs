@@ -3,11 +3,17 @@
 //! quarantined, and purged with **zero client errors** (hints are
 //! advisory — §3.2's invariant extends to forged hints), and a node
 //! with a durable hint log must recover its hint table on warm restart
-//! by replaying the log instead of pulling a network-wide resync.
+//! by replaying the log instead of pulling a network-wide resync. The
+//! retired unauthenticated batch frame (tag 4) must not reopen the hole
+//! the authenticator closes.
 
 use bh_proto::chaos::{ChaosMesh, FaultKind, Topology};
 use bh_proto::client::Source;
-use bh_proto::node::NodeConfig;
+use bh_proto::node::{CacheNode, NodeConfig};
+use bh_proto::origin::OriginServer;
+use bh_proto::wire::MachineId;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -113,6 +119,48 @@ fn corrupt_hints_are_quarantined_and_purged_with_zero_client_errors() {
         );
     }
     mesh.shutdown();
+}
+
+#[test]
+fn forged_plain_update_batch_is_refused_and_closes_the_connection() {
+    let origin = OriginServer::spawn("127.0.0.1:0").expect("origin");
+    let node = CacheNode::spawn(fast(NodeConfig::new("127.0.0.1:0", origin.addr()))).expect("node");
+    let key = bh_md5::url_key("http://t.test/forged-plain");
+    // Not a mesh member: nothing listens there.
+    let made_up_machine = MachineId::from_addr("10.0.0.1:8080".parse().expect("addr"))
+        .expect("IPv4")
+        .0;
+
+    // Hand-built tag-4 frame in the retired layout: `u32 len | u8 4 |
+    // u32 count | 20-byte records`, one forged Add of `key` at the
+    // made-up machine.
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.extend_from_slice(&1u32.to_le_bytes()); // Add
+    payload.extend_from_slice(&key.to_le_bytes());
+    payload.extend_from_slice(&made_up_machine.to_le_bytes());
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.push(4);
+    frame.extend_from_slice(&payload);
+
+    let mut sock = TcpStream::connect(node.addr()).expect("connect");
+    sock.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    sock.write_all(&frame).expect("send forged frame");
+    let mut reply = Vec::new();
+    match sock.read_to_end(&mut reply) {
+        Ok(_) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        Err(e) => panic!("node kept the connection open ({e}); it sent {reply:?}"),
+    }
+    assert!(
+        reply.is_empty(),
+        "node answered the forged frame: {reply:?}"
+    );
+    assert_eq!(node.find_nearest(key), None, "forged hint installed");
+    assert_eq!(node.stats().updates_received, 0);
+    node.shutdown();
+    origin.shutdown();
 }
 
 #[test]

@@ -1,9 +1,8 @@
 //! End-to-end tests of the mesh API: a live mesh driven *entirely*
 //! through the path-addressed namespace (`MetaRequest`/`MetaReply`
 //! frames) — metrics scrapes, hint reads, capability discovery, and
-//! control-plane writes. No legacy `StatsRequest`/`TraceRequest` frames
-//! appear anywhere in this file: everything an operator or harness
-//! needs is one namespace.
+//! control-plane writes: everything an operator or harness needs is one
+//! namespace.
 
 use bh_bench::meshapi::{metric_values_from_meta, pick, MeshClient};
 use bh_proto::client::{Connection, Source};
@@ -99,7 +98,7 @@ fn four_node_mesh_driven_entirely_through_the_namespace() {
     );
 
     // Generate traffic through node 0, then scrape every node's metrics
-    // through the namespace (no StatsRequest anywhere).
+    // through the namespace.
     let url = "http://t.test/mesh-api";
     let (source, body) = bh_proto::fetch(addrs[0], url).expect("fetch via node 0");
     assert_eq!(source, Source::Origin);
