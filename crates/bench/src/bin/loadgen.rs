@@ -9,31 +9,27 @@
 //!
 //! ```text
 //! loadgen [--nodes n] [--clients m] [--requests r]
-//!         [--chaos smoke|<plan.json>] [--obs] [--seed n] [--out dir]
+//!         [--scenario <name|file.json>] [--obs] [--seed n] [--out dir]
 //! ```
 //!
 //! `--obs` scrapes every node's obs registry through the mesh API
 //! (`Get mesh/nodes/self/metrics`) after the replay, prints a per-node
 //! summary, and writes the full snapshots to `<out>/loadgen_obs.json`.
 //!
-//! `--chaos` switches to fault-injection mode, driven by the
-//! [`bh_bench::chaos`] library: the workload is replayed segment by
-//! segment under a [`FaultPlan`] (crash/restart, partition, one-way
-//! partition, latency, drop), reporting hit rate, false-probe rate, and
-//! latency percentiles before/during/after every fault window. The
-//! deterministic schedule and request counts land in
-//! `loadgen_chaos_events.log` + `loadgen_chaos.json` (byte-identical
-//! across runs of the same seed); measured metrics land in
-//! `loadgen_chaos_metrics.json`. The process exits nonzero if the mesh
-//! fails to recover after any window.
-//!
 //! `--scenario` runs a named or file-loaded [`bh_bench::scenario`]
-//! bundle — a scenario workload (flash crowd or diurnal churn), a mesh
-//! topology (including the two-level hint hierarchy), and a fault plan
-//! that may target hierarchy roles (`CrashParent`). Artifacts follow
-//! the chaos naming with a `scenario_<name>` stem, and the process
-//! exits nonzero unless every window recovered, every orphaned child
-//! re-homed, and live Plaxton repair matched the analytic churn count.
+//! bundle — a workload (the plain trace, a flash crowd, or diurnal
+//! churn), a mesh topology (a flat mesh or the two-level hint
+//! hierarchy), and a fault plan (crash/restart, partition, one-way
+//! partition, latency, drop, or the role-targeted `CrashParent`),
+//! replayed segment by segment with hit rate, false-probe rate, and
+//! latency percentiles reported before/during/after every fault window.
+//! `chaos-smoke` is the flat 4-node crash + partition drill. The
+//! deterministic schedule, plan and request counts land in
+//! `scenario_<name>_events.log` + `scenario_<name>.json` (byte-identical
+//! across runs of the same seed); measured metrics land in
+//! `scenario_<name>_metrics.json`. The process exits nonzero unless
+//! every window recovered, every orphaned child re-homed, and live
+//! Plaxton repair matched the analytic churn count.
 //!
 //! `--mesh-sweep n1,n2,...` runs the mesh-scaling experiment as a weak
 //! scaling sweep: each point spawns a fresh sharded mesh of that many
@@ -58,13 +54,11 @@
 //! the resync baseline — and exits nonzero unless the log replay
 //! recovered hints without a network resync.
 
-use bh_bench::chaos::{run_chaos, ChaosOptions};
 use bh_bench::meshapi::{metric_values_from_meta, pick, MeshClient};
 use bh_bench::recovery::{run_recovery, RecoveryOptions};
 use bh_bench::report::MetricValue;
 use bh_bench::scenario::{run_scenario, Scenario};
 use bh_bench::Args;
-use bh_proto::chaos::FaultPlan;
 use bh_proto::node::{CacheNode, NodeConfig};
 use bh_proto::origin::OriginServer;
 use bh_proto::replay::{replay_concurrent, ReplayConfig};
@@ -82,7 +76,6 @@ struct LoadgenArgs {
     workers: usize,
     p_new: f64,
     seed: u64,
-    chaos: Option<String>,
     scenario: Option<String>,
     mesh_sweep: Option<Vec<usize>>,
     recovery: bool,
@@ -102,7 +95,6 @@ impl LoadgenArgs {
             workers: 16,
             p_new: 0.35,
             seed: 42,
-            chaos: None,
             scenario: None,
             mesh_sweep: None,
             recovery: false,
@@ -143,7 +135,6 @@ impl LoadgenArgs {
                     );
                 }
                 "--seed" => args.seed = value("number").parse().expect("--seed takes an integer"),
-                "--chaos" => args.chaos = Some(value("plan")),
                 "--scenario" => args.scenario = Some(value("scenario")),
                 "--mesh-sweep" => {
                     let points: Vec<usize> = value("node-count list")
@@ -173,8 +164,7 @@ impl LoadgenArgs {
                 "--help" | "-h" => {
                     println!(
                         "usage: loadgen [--nodes n] [--clients m] [--requests r] \
-                         [--chaos smoke|<plan.json>] \
-                         [--scenario flash-crowd|diurnal-churn|<scenario.json>] \
+                         [--scenario flash-crowd|diurnal-churn|chaos-smoke|<scenario.json>] \
                          [--mesh-sweep n1,n2,...] [--recovery] [--data-cap-mb mb] \
                          [--origin-delay-ms ms] \
                          [--shards s] [--workers w] [--obs] \
@@ -196,17 +186,6 @@ impl LoadgenArgs {
             trace: "custom".to_string(),
             out: self.out.clone(),
             jobs: 1,
-        }
-    }
-
-    /// The chaos-library view of these args.
-    fn chaos_options(&self) -> ChaosOptions {
-        ChaosOptions {
-            nodes: self.nodes,
-            clients: self.clients,
-            shards: self.shards,
-            workers: self.workers,
-            p_new: self.p_new,
         }
     }
 }
@@ -599,33 +578,22 @@ fn main() {
 
     if let Some(scenario_arg) = args.scenario.clone() {
         assert!(
-            args.chaos.is_none(),
-            "--scenario and --chaos are mutually exclusive"
+            args.mesh_sweep.is_none() && !args.recovery,
+            "--scenario is mutually exclusive with --mesh-sweep and --recovery"
         );
         let scenario = match Scenario::named(&scenario_arg, args.seed) {
             Some(s) => s,
             None => Scenario::load(std::path::Path::new(&scenario_arg))
                 .unwrap_or_else(|e| panic!("{e}")),
         };
-        scenario
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid scenario: {e}"));
         let ok = run_scenario(&harness, &scenario);
         std::process::exit(if ok { 0 } else { 1 });
     }
     if let Some(points) = args.mesh_sweep.clone() {
-        assert!(
-            args.chaos.is_none() && args.scenario.is_none(),
-            "--mesh-sweep is mutually exclusive with --chaos and --scenario"
-        );
         let ok = run_mesh_sweep(&harness, &args, &points);
         std::process::exit(if ok { 0 } else { 1 });
     }
     if args.recovery {
-        assert!(
-            args.chaos.is_none() && args.scenario.is_none(),
-            "--recovery is mutually exclusive with --chaos and --scenario"
-        );
         let opts = RecoveryOptions {
             nodes: args.nodes.max(2),
             requests: args.requests.min(5_000),
@@ -633,20 +601,6 @@ fn main() {
             clients: args.clients,
         };
         let ok = run_recovery(&harness, &opts);
-        std::process::exit(if ok { 0 } else { 1 });
-    }
-    if let Some(plan_arg) = args.chaos.clone() {
-        let plan = if plan_arg == "smoke" {
-            FaultPlan::smoke(args.seed)
-        } else {
-            let text = std::fs::read_to_string(&plan_arg)
-                .unwrap_or_else(|e| panic!("cannot read fault plan {plan_arg}: {e}"));
-            serde_json::from_str(&text)
-                .unwrap_or_else(|e| panic!("cannot parse fault plan {plan_arg}: {e}"))
-        };
-        plan.validate(args.nodes)
-            .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
-        let ok = run_chaos(&harness, &args.chaos_options(), plan);
         std::process::exit(if ok { 0 } else { 1 });
     }
     println!(

@@ -19,7 +19,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod meshapi;
 pub mod recovery;
 pub mod report;

@@ -11,7 +11,7 @@
 //!   rebuilds its hint table with a mesh-wide anti-entropy
 //!   [`resync`](bh_proto::node::CacheNode::resync) pull.
 //!
-//! Output follows the chaos harness's deterministic/measured split:
+//! Output follows the scenario harness's deterministic/measured split:
 //!
 //! * `BENCH_recovery_plan.json` — pure function of the seed: mesh
 //!   shape, planned request count, crash target, mode list. CI runs the
@@ -23,8 +23,8 @@
 //! * `obs_dump.json` — deterministic obs-registry dump of the
 //!   plan-derived values.
 
-use crate::chaos::{replay_segment, ChaosOptions};
 use crate::report::{metric_values, write_obs_dump, MetricValue};
+use crate::scenario::replay_segment;
 use crate::Args;
 use bh_obs::{Determinism, Registry, Unit};
 use bh_proto::chaos::ChaosMesh;
@@ -126,14 +126,6 @@ pub fn run_recovery(args: &Args, opts: &RecoveryOptions) -> bool {
     std::fs::create_dir_all(&args.out).expect("create output dir");
     args.write_json("BENCH_recovery_plan", &plan);
 
-    let replay_opts = ChaosOptions {
-        nodes: opts.nodes,
-        clients: opts.clients,
-        shards: 1,
-        workers: 8,
-        p_new: 0.35,
-    };
-
     let mut outcomes = Vec::with_capacity(2);
     for mode in plan.modes {
         let durable = mode == "log_replay";
@@ -161,7 +153,7 @@ pub fn run_recovery(args: &Args, opts: &RecoveryOptions) -> bool {
         let mut cursor = 0usize;
         let (_out, _issued) = replay_segment(
             &mesh,
-            &replay_opts,
+            opts.clients,
             &spec,
             &records,
             &mut cursor,

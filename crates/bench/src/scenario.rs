@@ -1,54 +1,64 @@
 //! Scenario harness: named workload + topology + fault-plan bundles
-//! replayed against a live hierarchical mesh.
+//! replayed segment by segment against a live mesh — the one fault-plan
+//! runner.
 //!
 //! A [`Scenario`] binds three deterministic ingredients:
 //!
-//! * a **workload** — one of the `bh-trace` scenario generators
-//!   (flash crowd or diurnal churn), materialized through the
-//!   [`bh_trace::MaterializedTrace`] arena so replay is byte-identical
-//!   to fresh generation;
-//! * a **topology** — the mesh shape ([`Topology`]), typically the
-//!   two-level metadata hierarchy whose interior nodes the fault plan
-//!   targets;
-//! * a **fault plan** — request-count-positioned windows, including the
-//!   role-targeted [`FaultKind::CrashParent`].
+//! * a **workload** — the plain synthetic trace or one of the
+//!   `bh-trace` scenario generators (flash crowd or diurnal churn; those
+//!   are materialized through the [`bh_trace::MaterializedTrace`] arena
+//!   so replay is byte-identical to fresh generation);
+//! * a **topology** — the mesh shape ([`Topology`]): a flat full mesh,
+//!   or the two-level metadata hierarchy whose interior nodes a fault
+//!   plan can target;
+//! * a **fault plan** — request-count-positioned windows (crash/restart,
+//!   partition, one-way partition, latency, drop, corrupt hints, and the
+//!   role-targeted [`FaultKind::CrashParent`]).
 //!
-//! `loadgen --scenario <name|file.json>` runs one. Artifacts follow the
-//! chaos harness's deterministic/measured split:
+//! `loadgen --scenario <name|file.json>` runs one; `chaos-smoke` is the
+//! flat-mesh crash + partition drill. Artifacts are split into a
+//! deterministic half (CI runs every scenario twice and `cmp`s it) and a
+//! measured half:
 //!
 //! * `scenario_<name>.json` — deterministic: the scenario config, each
 //!   segment's planned request count, and the recovery verdict.
 //! * `scenario_<name>_metrics.json` — measured: per-segment hit/probe/
-//!   latency summaries, re-homed child counts, full node registries.
+//!   latency summaries, resynced hint and re-homed child counts, and
+//!   each node's full obs-registry snapshot (the `stats-registry` lint
+//!   pins the registry iteration here).
 //! * `scenario_<name>_events.log` — the plan's schedule, byte-identical
 //!   across runs by construction.
 //! * `obs_dump.json` — the deterministic obs-registry dump.
 //!
-//! Beyond the chaos harness's recovery criteria, a crash window here
-//! also checks the *hierarchy* invariants live: every orphaned child
-//! must re-home to a fallback parent, and every survivor's
-//! `plaxton_repair_entries` delta must equal the analytic churn count
-//! ([`analytic_churn_for`]) — the same live-vs-analytic parity the
-//! integration tests pin.
+//! A window recovers when its post segment has no client errors and no
+//! hit-rate collapse against its pre segment. A crash window also checks
+//! the Plaxton invariants live: every survivor's `plaxton_repair_entries`
+//! delta must equal the analytic churn count ([`analytic_churn_for`]),
+//! and every orphaned child must re-home to a fallback parent (vacuous
+//! on a flat mesh, which has no children).
 
-use crate::chaos::{
-    await_confirmed_death, print_segment, probe_deltas, replay_segment, segment_from,
-    ChaosNodeReport, ChaosOptions, ChaosSegment, PlannedSegment,
-};
-use crate::report::{metric_values, write_obs_dump};
+use crate::report::{metric_values, write_obs_dump, MetricValue};
 use crate::Args;
 use bh_obs::{Determinism, Registry, Unit};
 use bh_proto::chaos::{analytic_churn_for, ChaosMesh, FaultKind, FaultPlan, FaultWindow, Topology};
+use bh_proto::liveness::PeerHealth;
+use bh_proto::node::NodeStats;
+use bh_proto::replay::{replay_concurrent, ConcurrentReplayReport, ReplayConfig};
 use bh_trace::scenario::{ChurnKind, DiurnalChurnSpec, FlashCrowdSpec};
-use bh_trace::{TraceRecord, WorkloadSpec};
+use bh_trace::{TraceGenerator, TraceRecord, WorkloadSpec};
 use serde::{Deserialize, Serialize};
+use std::net::SocketAddr;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// The workload a scenario replays — one of the `bh-trace` scenario
-/// generators, always materialized through the arena.
+/// The workload a scenario replays.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ScenarioWorkload {
+    /// The plain synthetic trace, streamed from [`TraceGenerator`].
+    Plain {
+        /// The workload spec.
+        spec: WorkloadSpec,
+    },
     /// A flash crowd over background traffic.
     FlashCrowd {
         /// The crowd's spec (base workload + ramp schedule).
@@ -66,6 +76,7 @@ impl ScenarioWorkload {
     /// from it).
     pub fn base(&self) -> &WorkloadSpec {
         match self {
+            ScenarioWorkload::Plain { spec } => spec,
             ScenarioWorkload::FlashCrowd { spec } => &spec.base,
             ScenarioWorkload::DiurnalChurn { spec } => &spec.base,
         }
@@ -74,6 +85,7 @@ impl ScenarioWorkload {
     /// Stable kind label for artifacts.
     pub fn label(&self) -> &'static str {
         match self {
+            ScenarioWorkload::Plain { .. } => "plain",
             ScenarioWorkload::FlashCrowd { .. } => "flash-crowd",
             ScenarioWorkload::DiurnalChurn { .. } => "diurnal-churn",
         }
@@ -82,6 +94,7 @@ impl ScenarioWorkload {
     /// The workload fingerprint (spec identity, not the seed).
     pub fn fingerprint(&self) -> u64 {
         match self {
+            ScenarioWorkload::Plain { spec } => spec.fingerprint(),
             ScenarioWorkload::FlashCrowd { spec } => spec.fingerprint(),
             ScenarioWorkload::DiurnalChurn { spec } => spec.fingerprint(),
         }
@@ -94,15 +107,18 @@ impl ScenarioWorkload {
     /// Returns a human-readable message naming the offending field.
     pub fn validate(&self) -> Result<(), String> {
         match self {
+            ScenarioWorkload::Plain { spec } => spec.validate(),
             ScenarioWorkload::FlashCrowd { spec } => spec.validate(),
             ScenarioWorkload::DiurnalChurn { spec } => spec.validate(),
         }
     }
 
-    /// Materializes the workload for `seed` and replays the arena out
-    /// into a record list — byte-identical to fresh generation.
+    /// The workload's record list for `seed`. Scenario generators are
+    /// materialized and replayed out of the arena — byte-identical to
+    /// fresh generation.
     pub fn records(&self, seed: u64) -> Vec<TraceRecord> {
         match self {
+            ScenarioWorkload::Plain { spec } => TraceGenerator::new(spec, seed).collect(),
             ScenarioWorkload::FlashCrowd { spec } => spec.materialize(seed).iter().collect(),
             ScenarioWorkload::DiurnalChurn { spec } => spec.materialize(seed).iter().collect(),
         }
@@ -128,13 +144,14 @@ pub struct Scenario {
 
 impl Scenario {
     /// Names [`Scenario::named`] resolves.
-    pub const NAMES: [&'static str; 2] = ["flash-crowd", "diurnal-churn"];
+    pub const NAMES: [&'static str; 3] = ["flash-crowd", "diurnal-churn", "chaos-smoke"];
 
     /// The built-in scenario with `name`, seeded with `seed`.
     pub fn named(name: &str, seed: u64) -> Option<Scenario> {
         match name {
             "flash-crowd" => Some(Scenario::flash_crowd(seed)),
             "diurnal-churn" => Some(Scenario::diurnal_churn(seed)),
+            "chaos-smoke" => Some(Scenario::chaos_smoke(seed)),
             _ => None,
         }
     }
@@ -209,6 +226,25 @@ impl Scenario {
         }
     }
 
+    /// The chaos-smoke preset: [`FaultPlan::smoke`] (one crash window,
+    /// one partition window) over a flat 4-node mesh, replaying the plain
+    /// synthetic trace from 16 client threads.
+    pub fn chaos_smoke(seed: u64) -> Scenario {
+        let topology = Topology::Flat { nodes: 4 };
+        let plan = FaultPlan::smoke(seed);
+        let spec = WorkloadSpec::small()
+            .with_requests(plan.total_requests())
+            .with_clients(topology.size() as u32 * 256)
+            .with_p_new(0.35);
+        Scenario {
+            name: "chaos-smoke".into(),
+            topology,
+            workload: ScenarioWorkload::Plain { spec },
+            plan,
+            clients: 16,
+        }
+    }
+
     /// Loads a scenario from a JSON file.
     ///
     /// # Errors
@@ -251,7 +287,7 @@ impl Scenario {
     }
 
     /// Artifact stem: `scenario_<name>` with dashes flattened, so the
-    /// files sit next to the chaos artifacts without shell quoting.
+    /// file names need no shell quoting.
     pub fn artifact_stem(&self) -> String {
         format!("scenario_{}", self.name.replace('-', "_"))
     }
@@ -312,6 +348,70 @@ pub fn churn_plan(spec: &DiurnalChurnSpec, seed: u64) -> FaultPlan {
     FaultPlan { seed, windows }
 }
 
+/// One segment of the deterministic artifact: everything here is a pure
+/// function of the plan and the seeded trace.
+#[derive(Debug, Serialize)]
+pub struct PlannedSegment {
+    /// Window index in the plan.
+    pub window: usize,
+    /// `pre` (healthy baseline), `hold` (fault active), or `post`
+    /// (recovery) — the before/during/after triple per window.
+    pub phase: String,
+    /// Stable fault description ([`FaultKind::describe`]).
+    pub fault: String,
+    /// Requests the segment issues: the cacheable records in its trace
+    /// slice, fixed by the seed.
+    pub requests: u64,
+}
+
+/// Hit-rate / false-probe / latency summary of one replay segment
+/// (measured artifact).
+#[derive(Debug, Serialize)]
+pub struct MeasuredSegment {
+    /// Window index in the plan.
+    pub window: usize,
+    /// `pre`, `hold`, or `post`.
+    pub phase: String,
+    /// Stable fault description.
+    pub fault: String,
+    /// Requests issued in this segment.
+    pub requests: u64,
+    /// Client-visible errors.
+    pub errors: u64,
+    /// Served from the contacted node's cache.
+    pub local_hits: u64,
+    /// Served by a peer via direct transfer.
+    pub peer_hits: u64,
+    /// Served by the origin.
+    pub origin_fetches: u64,
+    /// Request hit ratio (local + peer).
+    pub hit_ratio: f64,
+    /// Mesh-wide false-positive probes during this segment.
+    pub false_positives: u64,
+    /// Mesh-wide transport-failed probes that degraded to the origin.
+    pub degraded_to_origin: u64,
+    /// (false positives + degradations) per issued request.
+    pub false_probe_rate: f64,
+    /// Median request latency, milliseconds.
+    pub p50_ms: f64,
+    /// 95th-percentile latency, milliseconds.
+    pub p95_ms: f64,
+    /// 99th-percentile latency, milliseconds.
+    pub p99_ms: f64,
+}
+
+/// End-of-run counters for one node: the node's **entire** obs-registry
+/// snapshot, iterated rather than hand-copied, so a newly registered
+/// metric reaches the dump with zero plumbing.
+#[derive(Debug, Serialize)]
+pub struct NodeReport {
+    /// The node's bound address.
+    pub addr: String,
+    /// Every registry metric (counters, pool gauges, expanded service
+    /// histogram), sorted by name.
+    pub metrics: Vec<MetricValue>,
+}
+
 /// The deterministic `scenario_<name>.json` payload; two runs of the
 /// same scenario must serialize byte-identically.
 #[derive(Debug, Serialize)]
@@ -332,13 +432,137 @@ pub struct ScenarioResult {
 #[derive(Debug, Serialize)]
 pub struct ScenarioMetrics {
     /// Per-segment measured summaries.
-    pub segments: Vec<ChaosSegment>,
+    pub segments: Vec<MeasuredSegment>,
     /// Hint records rebuilt by resync after each crash window.
     pub recovered_hints: Vec<usize>,
     /// Children that adopted a fallback parent, per crash window.
     pub rehomed_children: Vec<usize>,
     /// Full per-node registry dump.
-    pub node_reports: Vec<ChaosNodeReport>,
+    pub node_reports: Vec<NodeReport>,
+}
+
+/// Replays `count` records starting at `cursor` against the mesh from
+/// `clients` closed-loop threads, returning the measured outcome and the
+/// slice's cacheable-record count (the deterministic issued-request
+/// number). While `crashed` names a down node, its client groups are
+/// rerouted to a live survivor — the clients reconnect, they don't stall.
+pub(crate) fn replay_segment(
+    mesh: &ChaosMesh,
+    clients: usize,
+    spec: &WorkloadSpec,
+    records: &[TraceRecord],
+    cursor: &mut usize,
+    count: u64,
+    crashed: Option<usize>,
+) -> (ConcurrentReplayReport, u64) {
+    let end = (*cursor + count as usize).min(records.len());
+    let slice = &records[*cursor..end];
+    *cursor = end;
+    let planned = slice.iter().filter(|r| r.is_cacheable()).count() as u64;
+    let mut addrs: Vec<SocketAddr> = mesh.addrs().to_vec();
+    if let Some(dead) = crashed {
+        let survivor = mesh
+            .live_node(dead)
+            .expect("mesh has at least one live node");
+        addrs[dead] = mesh.addrs()[survivor];
+    }
+    let mut config = ReplayConfig::flat_out(addrs);
+    config.clients_per_l1 = spec.clients_per_l1;
+    config.dynamic_client_ids = spec.dynamic_client_ids;
+    let out = replay_concurrent(&config, slice, clients).expect("replay segment");
+    (out, planned)
+}
+
+/// Sums the `(false_positives, degraded_to_origin)` deltas across nodes
+/// between two stats snapshots. A node that crashed mid-interval
+/// contributes nothing; a node that restarted counts from zero.
+fn probe_deltas(prev: &[Option<NodeStats>], cur: &[Option<NodeStats>]) -> (u64, u64) {
+    let mut fp = 0u64;
+    let mut degraded = 0u64;
+    for (p, c) in prev.iter().zip(cur.iter()) {
+        let Some(c) = c else { continue };
+        let base = p
+            .as_ref()
+            .map(|p| (p.false_positives, p.degraded_to_origin));
+        let (fp0, dg0) = base.unwrap_or((0, 0));
+        fp += c.false_positives.saturating_sub(fp0);
+        degraded += c.degraded_to_origin.saturating_sub(dg0);
+    }
+    (fp, degraded)
+}
+
+/// Summarizes one replayed segment against the mesh-wide probe counters
+/// since `snapshot`, advances `snapshot` to now, and prints the row.
+fn measure_segment(
+    mesh: &ChaosMesh,
+    snapshot: &mut Vec<Option<NodeStats>>,
+    window: usize,
+    phase: &str,
+    fault: &FaultKind,
+    out: &ConcurrentReplayReport,
+) -> MeasuredSegment {
+    let cur = mesh.stats();
+    let (false_positives, degraded_to_origin) = probe_deltas(snapshot, &cur);
+    *snapshot = cur;
+    let requests = out.report.requests;
+    let seg = MeasuredSegment {
+        window,
+        phase: phase.to_string(),
+        fault: fault.describe(),
+        requests,
+        errors: out.report.errors,
+        local_hits: out.report.local_hits,
+        peer_hits: out.report.peer_hits,
+        origin_fetches: out.report.origin_fetches,
+        hit_ratio: out.report.hit_ratio(),
+        false_positives,
+        degraded_to_origin,
+        false_probe_rate: if requests > 0 {
+            (false_positives + degraded_to_origin) as f64 / requests as f64
+        } else {
+            0.0
+        },
+        p50_ms: out.latency.p50().unwrap_or(0.0) * 1e3,
+        p95_ms: out.latency.p95().unwrap_or(0.0) * 1e3,
+        p99_ms: out.latency.p99().unwrap_or(0.0) * 1e3,
+    };
+    println!(
+        "window {} {:>4}  [{}]  {:>5} req  hit {:>5.1}%  fp {:>3}  degraded {:>3}  \
+         {:>3} err  p50 {:>6.2} ms  p99 {:>6.2} ms",
+        seg.window,
+        seg.phase,
+        seg.fault,
+        seg.requests,
+        seg.hit_ratio * 100.0,
+        seg.false_positives,
+        seg.degraded_to_origin,
+        seg.errors,
+        seg.p50_ms,
+        seg.p99_ms,
+    );
+    seg
+}
+
+/// Drives heartbeats until every survivor has confirmed `dead` dead (so
+/// stale-hint GC and Plaxton repair have fired), bounded by a wall-clock
+/// deadline. Returns whether confirmation was reached.
+fn await_confirmed_death(mesh: &ChaosMesh, dead: usize) -> bool {
+    let addr = mesh.addrs()[dead];
+    // bh-lint: allow(no-wall-clock, reason = "deadline-bounded wait on a live mesh; failure detection is inherently wall-clock here")
+    let deadline = Instant::now() + Duration::from_secs(10);
+    // bh-lint: allow(no-wall-clock, reason = "loop bound against the same live-mesh deadline")
+    while Instant::now() < deadline {
+        mesh.heartbeat_all();
+        let confirmed = (0..mesh.addrs().len())
+            .filter(|&i| i != dead)
+            .filter_map(|i| mesh.node(i))
+            .all(|n| n.peer_health(addr) == PeerHealth::Dead);
+        if confirmed {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    false
 }
 
 /// Checks the hierarchy invariants after `dead`'s death is confirmed:
@@ -355,7 +579,7 @@ pub struct ScenarioMetrics {
 fn check_hierarchy_recovery(
     mesh: &ChaosMesh,
     dead: usize,
-    baseline: &[Option<bh_proto::node::NodeStats>],
+    baseline: &[Option<NodeStats>],
 ) -> (bool, usize) {
     // bh-lint: allow(no-wall-clock, reason = "deadline-bounded wait on a live mesh; repair lands on the heartbeat thread")
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -377,7 +601,7 @@ fn check_hierarchy_recovery(
 fn hierarchy_recovery_once(
     mesh: &ChaosMesh,
     dead: usize,
-    baseline: &[Option<bh_proto::node::NodeStats>],
+    baseline: &[Option<NodeStats>],
     loud: bool,
 ) -> (bool, usize) {
     let mut ok = true;
@@ -442,6 +666,8 @@ pub fn run_scenario(args: &Args, scenario: &Scenario) -> bool {
         plan.total_requests()
     );
 
+    // The schedule is a pure function of the plan: write it out before
+    // anything runs, so two runs of the same seed can be byte-diffed.
     let event_log = plan.event_log();
     std::fs::create_dir_all(&args.out).expect("create output dir");
     let log_path = args.out.join(format!("{stem}_events.log"));
@@ -449,18 +675,14 @@ pub fn run_scenario(args: &Args, scenario: &Scenario) -> bool {
     print!("{event_log}");
 
     let records = scenario.workload.records(plan.seed);
-    let base = scenario.workload.base().clone();
-    let opts = ChaosOptions {
-        nodes: scenario.topology.size(),
-        clients: scenario.clients,
-        shards: 1,
-        workers: 16,
-        p_new: base.p_new,
-    };
+    let base = scenario.workload.base();
 
+    // One epoll shard and 16 workers per node, with fast failure-detector
+    // settings: crash windows must reach confirmed death (suspicion +
+    // confirmation window) inside the run.
     let mut mesh = ChaosMesh::spawn_topology(scenario.topology, |c| {
-        c.with_shards(opts.shards)
-            .with_workers(opts.workers)
+        c.with_shards(1)
+            .with_workers(16)
             .with_flush_max(Duration::from_millis(25))
             .with_heartbeat_interval(Duration::from_millis(40))
             .with_suspicion_threshold(2)
@@ -471,7 +693,31 @@ pub fn run_scenario(args: &Args, scenario: &Scenario) -> bool {
 
     let mut cursor = 0usize;
     let mut planned: Vec<PlannedSegment> = Vec::new();
-    let mut segments: Vec<ChaosSegment> = Vec::new();
+    // Replays one segment and records its deterministic half.
+    let mut replay = |mesh: &ChaosMesh,
+                      window: usize,
+                      phase: &str,
+                      fault: &FaultKind,
+                      count: u64,
+                      crashed: Option<usize>| {
+        let (out, issued) = replay_segment(
+            mesh,
+            scenario.clients,
+            base,
+            &records,
+            &mut cursor,
+            count,
+            crashed,
+        );
+        planned.push(PlannedSegment {
+            window,
+            phase: phase.into(),
+            fault: fault.describe(),
+            requests: issued,
+        });
+        out
+    };
+    let mut segments: Vec<MeasuredSegment> = Vec::new();
     let mut recovered_hints: Vec<usize> = Vec::new();
     let mut rehomed_children: Vec<usize> = Vec::new();
     let mut recovered = true;
@@ -480,35 +726,19 @@ pub fn run_scenario(args: &Args, scenario: &Scenario) -> bool {
         let window_baseline = mesh.stats();
         let mut snapshot = window_baseline.clone();
 
-        let (out, issued) = replay_segment(&mesh, &opts, &base, &records, &mut cursor, w.pre, None);
-        planned.push(PlannedSegment {
-            window: i,
-            phase: "pre".into(),
-            fault: w.fault.describe(),
-            requests: issued,
-        });
-        let cur = mesh.stats();
-        let pre = segment_from(i, "pre", &w.fault, &out, probe_deltas(&snapshot, &cur));
-        snapshot = cur;
-        print_segment(&pre);
+        let out = replay(&mesh, i, "pre", &w.fault, w.pre, None);
+        let pre = measure_segment(&mesh, &mut snapshot, i, "pre", &w.fault, &out);
 
         mesh.inject(w.fault).expect("inject fault");
         let crashed = match mesh.resolve(w.fault) {
             FaultKind::Crash { node } => Some(node),
             _ => None,
         };
-        let (out, issued) =
-            replay_segment(&mesh, &opts, &base, &records, &mut cursor, w.hold, crashed);
-        planned.push(PlannedSegment {
-            window: i,
-            phase: "hold".into(),
-            fault: w.fault.describe(),
-            requests: issued,
-        });
+        let out = replay(&mesh, i, "hold", &w.fault, w.hold, crashed);
         if let Some(dead) = crashed {
             if await_confirmed_death(&mesh, dead) {
-                // The hierarchy invariants the tentpole pins: analytic
-                // churn parity on every survivor, plus re-homed orphans.
+                // Analytic churn parity on every survivor, plus re-homed
+                // orphans.
                 let (ok, rehomed) = check_hierarchy_recovery(&mesh, dead, &window_baseline);
                 rehomed_children.push(rehomed);
                 if !ok {
@@ -523,11 +753,12 @@ pub fn run_scenario(args: &Args, scenario: &Scenario) -> bool {
                 recovered = false;
             }
         }
-        let cur = mesh.stats();
-        let hold = segment_from(i, "hold", &w.fault, &out, probe_deltas(&snapshot, &cur));
-        snapshot = cur;
-        print_segment(&hold);
+        let hold = measure_segment(&mesh, &mut snapshot, i, "hold", &w.fault, &out);
 
+        // Lift: crash windows restart the node on its old port and rebuild
+        // its hint table by anti-entropy; the extra heartbeat/flush round
+        // lets survivors mark the revival and re-advertise before the
+        // recovery segment is measured.
         match crashed {
             Some(node) => {
                 let rebuilt = mesh.restart(node).expect("restart crashed node");
@@ -538,18 +769,12 @@ pub fn run_scenario(args: &Args, scenario: &Scenario) -> bool {
             }
             None => mesh.lift(w.fault).expect("lift fault"),
         }
-        let (out, issued) =
-            replay_segment(&mesh, &opts, &base, &records, &mut cursor, w.post, None);
-        planned.push(PlannedSegment {
-            window: i,
-            phase: "post".into(),
-            fault: w.fault.describe(),
-            requests: issued,
-        });
-        let cur = mesh.stats();
-        let post = segment_from(i, "post", &w.fault, &out, probe_deltas(&snapshot, &cur));
-        print_segment(&post);
+        let out = replay(&mesh, i, "post", &w.fault, w.post, None);
+        let post = measure_segment(&mesh, &mut snapshot, i, "post", &w.fault, &out);
 
+        // Recovery criteria: the mesh must serve everything again (no
+        // client-visible errors) without a hit-rate collapse relative to
+        // the pre-window baseline.
         if post.errors > 0 {
             eprintln!(
                 "window {i}: {} errors after the fault was lifted",
@@ -569,11 +794,13 @@ pub fn run_scenario(args: &Args, scenario: &Scenario) -> bool {
         segments.push(post);
     }
 
-    let node_reports: Vec<ChaosNodeReport> = mesh
+    // Iterate each node's full registry snapshot into the dump — no
+    // field-by-field plumbing, so new metrics can't silently fall out.
+    let node_reports: Vec<NodeReport> = mesh
         .addrs()
         .iter()
         .zip(mesh.metric_snapshots())
-        .map(|(addr, snapshot)| ChaosNodeReport {
+        .map(|(addr, snapshot)| NodeReport {
             addr: addr.to_string(),
             metrics: metric_values(&snapshot.unwrap_or_default()),
         })
@@ -657,6 +884,24 @@ mod tests {
         ));
         assert!(matches!(s.topology, Topology::TwoLevel { .. }));
         assert_eq!(s.plan.total_requests(), s.workload.base().requests);
+    }
+
+    #[test]
+    fn chaos_smoke_preset_is_the_smoke_plan_over_a_flat_mesh() {
+        let s = Scenario::named("chaos-smoke", 42).expect("preset exists");
+        s.validate().expect("chaos-smoke validates");
+        assert_eq!(s.plan, FaultPlan::smoke(42));
+        assert_eq!(s.topology, Topology::Flat { nodes: 4 });
+        assert_eq!(s.clients, 16);
+        let want = WorkloadSpec::small()
+            .with_requests(s.plan.total_requests())
+            .with_clients(4 * 256)
+            .with_p_new(0.35);
+        assert_eq!(s.workload, ScenarioWorkload::Plain { spec: want.clone() });
+        assert_eq!(s.workload.label(), "plain");
+        assert_eq!(s.workload.fingerprint(), want.fingerprint());
+        let streamed: Vec<TraceRecord> = TraceGenerator::new(&want, 42).collect();
+        assert_eq!(s.workload.records(42), streamed);
     }
 
     #[test]

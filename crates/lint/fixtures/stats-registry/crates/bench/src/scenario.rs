@@ -1,4 +1,4 @@
-//! Fixture: the chaos dump hand-copies stats fields instead of
+//! Fixture: the scenario dump hand-copies stats fields instead of
 //! iterating the registry via `metric_snapshots`.
 
 pub struct Report {

@@ -1,5 +1,5 @@
 //! Fixture: a `NodeStats` field whose metric name is never registered
-//! as a string literal (must be flagged), alongside a chaos dump that
+//! as a string literal (must be flagged), alongside a scenario dump that
 //! hand-copies fields instead of iterating the registry.
 
 /// Per-node counters, a typed view over the obs registry snapshot.

@@ -16,7 +16,7 @@
 //! 5. `wire-exhaustiveness` — every wire frame tag has an encoder arm,
 //!    a decoder arm, and proptest coverage.
 //! 6. `stats-registry` — every `NodeStats` field is backed by a
-//!    registered obs metric, and the chaos dump iterates the registry.
+//!    registered obs metric, and the scenario dump iterates the registry.
 //! 7. `no-hot-alloc` — no `.to_vec()` / `Vec::new()` / `BytesMut::new()`
 //!    in the wire-speed data-path hot set or the helpers it reaches;
 //!    reuse scratch buffers and refcounted `Bytes` slices instead.

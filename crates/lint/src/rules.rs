@@ -572,12 +572,12 @@ fn struct_fields(tokens: &[Token], name: &str) -> Vec<(String, u32)> {
 /// Rule 6: every `NodeStats` field must be backed by a registered
 /// metric — its name must appear as a string literal in the metrics
 /// module (where `NodeMetrics::register` declares counters and
-/// `NodeStats::from_snapshot` matches them back) — and the chaos dump
-/// must iterate the registry via `metric_snapshots` rather than
+/// `NodeStats::from_snapshot` matches them back) — and the scenario
+/// dump must iterate the registry via `metric_snapshots` rather than
 /// hand-copying fields.
 pub fn stats_registry(files: &BTreeMap<String, Lexed>, out: &mut Vec<Diagnostic>) {
     const STATS: &str = "crates/proto/src/node/metrics.rs";
-    const DUMP: &str = "crates/bench/src/chaos.rs";
+    const DUMP: &str = "crates/bench/src/scenario.rs";
     let Some(node) = files.get(STATS) else {
         return;
     };
@@ -628,7 +628,7 @@ pub fn stats_registry(files: &BTreeMap<String, Lexed>, out: &mut Vec<Diagnostic>
             1,
             "stats-registry",
             format!(
-                "chaos dump {DUMP} never calls `metric_snapshots`; node metrics \
+                "scenario dump {DUMP} never calls `metric_snapshots`; node metrics \
                  must reach artifacts by iterating the obs registry"
             ),
         );

@@ -280,21 +280,10 @@ impl FaultPlan {
         self.windows.iter().map(|w| w.pre + w.hold + w.post).sum()
     }
 
-    /// Checks every referenced node index against the mesh size and
-    /// rejects degenerate windows. This is the *flat-mesh* check:
-    /// role-targeted faults ([`FaultKind::CrashParent`]) are rejected
-    /// here because a flat mesh has no parents — use
-    /// [`FaultPlan::validate_for`] with a hierarchical topology.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first invalid window.
-    pub fn validate(&self, mesh_size: usize) -> Result<(), String> {
-        self.validate_for(&Topology::Flat { nodes: mesh_size })
-    }
-
-    /// Topology-aware validation: like [`FaultPlan::validate`], but
-    /// resolves role-targeted faults against `topology`.
+    /// Checks every referenced node index against `topology`'s size,
+    /// rejects degenerate windows, and resolves role-targeted faults
+    /// ([`FaultKind::CrashParent`]) against the topology — a flat mesh
+    /// has no parents, so it rejects them.
     ///
     /// # Errors
     ///
@@ -848,7 +837,8 @@ mod tests {
     #[test]
     fn smoke_plan_validates_and_logs_deterministically() {
         let plan = FaultPlan::smoke(42);
-        plan.validate(4).expect("smoke plan is valid for 4 nodes");
+        plan.validate_for(&Topology::Flat { nodes: 4 })
+            .expect("smoke plan is valid for 4 nodes");
         assert_eq!(plan.total_requests(), 600 * 3 + 300 + 600 + 600);
         let log_a = plan.event_log();
         let log_b = FaultPlan::smoke(42).event_log();
@@ -862,12 +852,16 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_plans() {
+        let flat = |nodes| Topology::Flat { nodes };
         let mut plan = FaultPlan::smoke(1);
-        assert!(plan.validate(2).is_err(), "node 2 outside a 2-node mesh");
+        assert!(
+            plan.validate_for(&flat(2)).is_err(),
+            "node 2 outside a 2-node mesh"
+        );
         plan.windows[0].hold = 0;
-        assert!(plan.validate(4).is_err(), "empty hold segment");
+        assert!(plan.validate_for(&flat(4)).is_err(), "empty hold segment");
         plan.windows.clear();
-        assert!(plan.validate(4).is_err(), "no windows");
+        assert!(plan.validate_for(&flat(4)).is_err(), "no windows");
         let twisted = FaultPlan {
             seed: 1,
             windows: vec![FaultWindow {
@@ -877,7 +871,7 @@ mod tests {
                 post: 0,
             }],
         };
-        assert!(twisted.validate(4).is_err(), "self-partition");
+        assert!(twisted.validate_for(&flat(4)).is_err(), "self-partition");
         let looped = FaultPlan {
             seed: 1,
             windows: vec![FaultWindow {
@@ -887,7 +881,10 @@ mod tests {
                 post: 0,
             }],
         };
-        assert!(looped.validate(4).is_err(), "self one-way partition");
+        assert!(
+            looped.validate_for(&flat(4)).is_err(),
+            "self one-way partition"
+        );
     }
 
     #[test]

@@ -76,10 +76,10 @@ pub struct NodeConfig {
     pub shards: usize,
     /// Worker threads servicing `Get` misses (min 1).
     pub workers: usize,
-    /// Digest-partitioned hint-store shards (min 1). Lookups and batch
-    /// applies lock only the owning shard; full iteration (purge,
-    /// `Resync`, scrape) walks shards in index order so artifacts stay
-    /// deterministic.
+    /// Digest-partitioned hint-store shards (min 1; `HINT_SHARDS` by
+    /// default). Lookups and batch applies lock only the owning shard;
+    /// full iteration (purge, `Resync`, scrape) walks shards in index
+    /// order so artifacts stay deterministic.
     pub hint_shards: usize,
     /// High-water mark for admission control: the most `Get`s a node has
     /// at its worker pool (queued or being served) before it redirects
@@ -129,7 +129,7 @@ impl NodeConfig {
             io_timeout: Duration::from_secs(5),
             shards: 2,
             workers: 8,
-            hint_shards: 8,
+            hint_shards: HINT_SHARDS,
             admission_high_water: None,
             pool_idle_cap: None,
             heartbeat_interval: Duration::from_secs(1),
@@ -179,12 +179,6 @@ impl NodeConfig {
     /// Sets the `Get` worker-pool size.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the hint-store shard count.
-    pub fn with_hint_shards(mut self, shards: usize) -> Self {
-        self.hint_shards = shards.max(1);
         self
     }
 
@@ -239,6 +233,9 @@ struct Store {
     /// Object bodies, keyed like `meta`.
     bodies: HashMap<u64, Bytes>,
 }
+
+/// Hint-store shards per node.
+const HINT_SHARDS: usize = 8;
 
 /// The hint store partitioned into digest-indexed shards, each behind its
 /// own lock, so worker-thread lookups and batch applies stop contending

@@ -8,12 +8,12 @@
 //!   artifacts at `--jobs 1` and `--jobs 8`;
 //! * replaying a [`MaterializedTrace`] arena yields exactly the record
 //!   stream a fresh [`TraceGenerator`] produces, for all three workloads;
-//! * two chaos runs of the same seeded plan produce byte-identical
-//!   `loadgen_chaos.json`, `loadgen_chaos_events.log`, and
+//! * two scenario runs of the same seeded fault plan over a flat mesh
+//!   produce byte-identical `scenario_<name>.json`, event log, and
 //!   `obs_dump.json` artifacts, even though they drive two distinct live
-//!   meshes (the measured numbers go to `loadgen_chaos_metrics.json`,
+//!   meshes (the measured numbers go to `scenario_<name>_metrics.json`,
 //!   which makes no such promise);
-//! * the same contract for the scenario harness: two runs of the seeded
+//! * the same contract over the hint hierarchy: two runs of the seeded
 //!   flash-crowd scenario (two-level hierarchy, `CrashParent` window)
 //!   produce byte-identical `scenario_flash_crowd.json`, event log, and
 //!   `obs_dump.json`, and the scenario lag experiment's artifact is
@@ -78,11 +78,13 @@ fn fig8_artifact_is_identical_at_jobs_1_and_8() {
     assert_jobs_invisible(&bh_bench::runners::fig8::Fig8);
 }
 
-/// Runs the chaos harness once into a scratch dir and returns the bytes
-/// of the deterministic artifact, the event log, and the obs dump.
+/// Runs a partition-only fault plan over a flat 3-node mesh through the
+/// scenario harness into a scratch dir and returns the bytes of the
+/// deterministic artifact, the event log, and the obs dump.
 fn chaos_artifacts(tag: &str) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
-    use bh_bench::chaos::{run_chaos, ChaosOptions};
-    use bh_proto::chaos::{FaultKind, FaultPlan, FaultWindow};
+    use bh_bench::scenario::{run_scenario, Scenario, ScenarioWorkload};
+    use bh_proto::chaos::{FaultKind, FaultPlan, FaultWindow, Topology};
+    use bh_trace::WorkloadSpec;
 
     let out = scratch(tag);
     let args = Args {
@@ -103,21 +105,27 @@ fn chaos_artifacts(tag: &str) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
             post: 200,
         }],
     };
-    let opts = ChaosOptions {
-        nodes: 3,
+    let spec = WorkloadSpec::small()
+        .with_requests(plan.total_requests())
+        .with_clients(3 * 256)
+        .with_p_new(0.35);
+    let scenario = Scenario {
+        name: "partition".into(),
+        topology: Topology::Flat { nodes: 3 },
+        workload: ScenarioWorkload::Plain { spec },
+        plan,
         clients: 4,
-        ..ChaosOptions::default()
     };
-    assert!(run_chaos(&args, &opts, plan), "chaos run must recover");
-    let json = std::fs::read(out.join("loadgen_chaos.json")).expect("read chaos artifact");
-    let log = std::fs::read(out.join("loadgen_chaos_events.log")).expect("read event log");
+    assert!(run_scenario(&args, &scenario), "chaos run must recover");
+    let json = std::fs::read(out.join("scenario_partition.json")).expect("read scenario artifact");
+    let log = std::fs::read(out.join("scenario_partition_events.log")).expect("read event log");
     let obs = std::fs::read(out.join("obs_dump.json")).expect("read obs dump");
     (json, log, obs)
 }
 
-/// The statically-guarded byte-identity contract: `loadgen_chaos.json`,
+/// The statically-guarded byte-identity contract: `scenario_<name>.json`,
 /// the event log, and `obs_dump.json` (the deterministic slice of the
-/// chaos obs registry) are pure functions of the plan and seed, so two
+/// scenario obs registry) are pure functions of the plan and seed, so two
 /// independent live-mesh runs must produce them byte for byte.
 #[test]
 fn chaos_plan_artifacts_are_byte_identical_across_runs() {
@@ -126,11 +134,11 @@ fn chaos_plan_artifacts_are_byte_identical_across_runs() {
     assert!(!json_a.is_empty(), "empty chaos artifact");
     assert_eq!(
         json_a, json_b,
-        "loadgen_chaos.json differs between two runs of the same plan"
+        "scenario_partition.json differs between two runs of the same plan"
     );
     assert_eq!(
         log_a, log_b,
-        "loadgen_chaos_events.log differs between two runs of the same plan"
+        "scenario_partition_events.log differs between two runs of the same plan"
     );
     assert!(!obs_a.is_empty(), "empty obs dump");
     assert_eq!(

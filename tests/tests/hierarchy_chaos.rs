@@ -203,8 +203,7 @@ fn parent_crash_mid_replay_rehomes_children_and_matches_analytic_churn() {
 }
 
 /// `CrashParent` is a role, not an index: it validates only against a
-/// topology that has interior parents, and the flat-mesh validator
-/// (which all pre-hierarchy plans go through) rejects it.
+/// topology that has interior parents, and a flat mesh rejects it.
 #[test]
 fn crash_parent_requires_a_hierarchy() {
     use bh_proto::chaos::{FaultPlan, FaultWindow};
@@ -222,10 +221,6 @@ fn crash_parent_requires_a_hierarchy() {
         children_per_parent: 1,
     })
     .expect("a hierarchy has a level-0 parent to crash");
-    assert!(
-        plan.validate(4).is_err(),
-        "the flat-mesh validator must reject role-targeted faults"
-    );
     assert!(
         plan.validate_for(&Topology::Flat { nodes: 4 }).is_err(),
         "a flat topology has no parent at any level"
