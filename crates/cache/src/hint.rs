@@ -12,6 +12,20 @@
 //! [`HintCache`] reproduces exactly that structure (bounded, set
 //! associative, with within-set LRU), plus an unbounded variant for the
 //! "infinite hint cache" end of Figure 5.
+//!
+//! The bounded array is sized by what it holds, not by its capacity. It
+//! starts at a power-of-two fraction of its configured set count and
+//! doubles whenever an insert finds its set full; only at the configured
+//! size does an insert displace a record. A key's set is `key % sets`,
+//! and every allocated set count divides the configured one, so each
+//! allocated set is the union of whole configured-size sets with their
+//! records in the same LRU order. The array therefore holds exactly the
+//! records the configured-size array would, and every result — lookups,
+//! displacements, the counters, [`capacity_records`] and [`footprint`] —
+//! is the configured-size array's.
+//!
+//! [`capacity_records`]: HintCache::capacity_records
+//! [`footprint`]: HintCache::footprint
 
 use bh_simcore::ByteSize;
 use std::collections::HashMap;
@@ -21,6 +35,10 @@ pub const HINT_RECORD_BYTES: u64 = 16;
 
 /// Associativity of the bounded store (the paper uses 4).
 pub const DEFAULT_WAYS: usize = 4;
+
+/// The fewest sets a bounded store starts with (unless its configured set
+/// count is already smaller, or odd).
+const MIN_SETS: usize = 16;
 
 /// One hint record. `key == 0` marks an invalid (empty) slot, mirroring the
 /// prototype's special hash value.
@@ -33,19 +51,80 @@ pub struct HintRecord {
     pub location: u64,
 }
 
+/// The bounded store: `sets × ways` slots as parallel `Vec<u64>`s, so a
+/// slot's key and location keep the 16-byte record layout of §3.2.1.
+/// Each set holds its live records at its front, most recently used
+/// first. `sets` starts at `full_sets / 2^k` and doubles toward
+/// `full_sets` as sets fill.
+#[derive(Debug, Clone)]
+struct SetArray {
+    keys: Vec<u64>,
+    locs: Vec<u64>,
+    /// Sets allocated now.
+    sets: usize,
+    /// Configured set count.
+    full_sets: usize,
+    ways: usize,
+}
+
+impl SetArray {
+    /// Allocates the smallest power-of-two fraction of `full_sets` that
+    /// keeps at least [`MIN_SETS`] sets.
+    fn new(full_sets: usize, ways: usize) -> SetArray {
+        let mut sets = full_sets;
+        while sets.is_multiple_of(2) && sets / 2 >= MIN_SETS {
+            sets /= 2;
+        }
+        SetArray {
+            keys: vec![0u64; sets * ways],
+            locs: vec![0u64; sets * ways],
+            sets,
+            full_sets,
+            ways,
+        }
+    }
+
+    fn range(&self, key: u64) -> std::ops::Range<usize> {
+        let set = (key % self.sets as u64) as usize;
+        set * self.ways..(set + 1) * self.ways
+    }
+
+    /// Doubles the set count. Set `s` splits into `s` and `s + sets`, each
+    /// keeping its records in way order, so LRU order survives.
+    fn grow(&mut self) {
+        let (old, ways) = (self.sets, self.ways);
+        self.sets *= 2;
+        self.keys.resize(self.sets * ways, 0);
+        self.locs.resize(self.sets * ways, 0);
+        for set in 0..old {
+            // Slot cursors for the two halves; `low` never passes `read`.
+            let (mut low, mut high) = (set * ways, (set + old) * ways);
+            for read in set * ways..(set + 1) * ways {
+                let key = self.keys[read];
+                if key == 0 {
+                    break;
+                }
+                let loc = self.locs[read];
+                self.keys[read] = 0;
+                self.locs[read] = 0;
+                let to = if (key % self.sets as u64) as usize == set {
+                    &mut low
+                } else {
+                    &mut high
+                };
+                self.keys[*to] = key;
+                self.locs[*to] = loc;
+                *to += 1;
+            }
+        }
+    }
+}
+
+/// The bounded array, or the unbounded map behind the "infinite hint
+/// cache" point of Figure 5.
 #[derive(Debug, Clone)]
 enum Store {
-    /// `sets × ways` flat array, stored as parallel zeroed `Vec<u64>`s so
-    /// the allocation is lazily paged (a 500 MB store costs address space,
-    /// not resident memory, until sets are touched) — and a slot's key and
-    /// location sit in adjacent words, preserving the 16-byte record
-    /// layout of §3.2.1.
-    SetAssoc {
-        keys: Vec<u64>,
-        locs: Vec<u64>,
-        sets: usize,
-        ways: usize,
-    },
+    SetAssoc(SetArray),
     Unbounded(HashMap<u64, u64>),
 }
 
@@ -85,24 +164,17 @@ impl HintCache {
         }
         let entries = (capacity.as_bytes() / HINT_RECORD_BYTES).max(ways as u64) as usize;
         let sets = (entries / ways).max(1);
-        HintCache {
-            store: Store::SetAssoc {
-                keys: vec![0u64; sets * ways],
-                locs: vec![0u64; sets * ways],
-                sets,
-                ways,
-            },
-            len: 0,
-            hits: 0,
-            misses: 0,
-            displacements: 0,
-        }
+        Self::with_store(Store::SetAssoc(SetArray::new(sets, ways)))
     }
 
     /// Creates an unbounded store (perfect hint index).
     pub fn unbounded() -> Self {
+        Self::with_store(Store::Unbounded(HashMap::new()))
+    }
+
+    fn with_store(store: Store) -> Self {
         HintCache {
-            store: Store::Unbounded(HashMap::new()),
+            store,
             len: 0,
             hits: 0,
             misses: 0,
@@ -123,16 +195,17 @@ impl HintCache {
     /// Maximum number of records (`None` if unbounded).
     pub fn capacity_records(&self) -> Option<usize> {
         match &self.store {
-            Store::SetAssoc { sets, ways, .. } => Some(sets * ways),
+            Store::SetAssoc(a) => Some(a.full_sets * a.ways),
             Store::Unbounded(_) => None,
         }
     }
 
-    /// Bytes this store occupies at 16 bytes/record (the *array* size for
-    /// the bounded store, the live-record footprint for the unbounded one).
+    /// Bytes this store may occupy at 16 bytes/record: the configured
+    /// array size for the bounded store (not the bytes allocated so far),
+    /// the live-record footprint for the unbounded one.
     pub fn footprint(&self) -> ByteSize {
         let records = match &self.store {
-            Store::SetAssoc { sets, ways, .. } => (sets * ways) as u64,
+            Store::SetAssoc(a) => (a.full_sets * a.ways) as u64,
             Store::Unbounded(m) => m.len() as u64,
         };
         ByteSize::from_bytes(records * HINT_RECORD_BYTES)
@@ -153,11 +226,6 @@ impl HintCache {
         self.displacements
     }
 
-    fn set_range(sets: usize, ways: usize, key: u64) -> std::ops::Range<usize> {
-        let set = (key % sets as u64) as usize;
-        set * ways..(set + 1) * ways
-    }
-
     /// Looks up the location hint for `key`, promoting it within its set.
     ///
     /// Keys of 0 are reserved for empty slots and always miss.
@@ -167,17 +235,12 @@ impl HintCache {
             return None;
         }
         let found = match &mut self.store {
-            Store::SetAssoc {
-                keys,
-                locs,
-                sets,
-                ways,
-            } => {
-                let range = Self::set_range(*sets, *ways, key);
-                let kset = &mut keys[range.clone()];
+            Store::SetAssoc(a) => {
+                let range = a.range(key);
+                let kset = &mut a.keys[range.clone()];
                 match kset.iter().position(|&k| k == key) {
                     Some(pos) => {
-                        let lset = &mut locs[range];
+                        let lset = &mut a.locs[range];
                         let loc = lset[pos];
                         // Within-set move-to-front: cheap LRU over 4 slots.
                         kset.copy_within(0..pos, 1);
@@ -209,25 +272,21 @@ impl HintCache {
             return None;
         }
         match &self.store {
-            Store::SetAssoc {
-                keys,
-                locs,
-                sets,
-                ways,
-            } => {
-                let range = Self::set_range(*sets, *ways, key);
-                keys[range.clone()]
+            Store::SetAssoc(a) => {
+                let range = a.range(key);
+                a.keys[range.clone()]
                     .iter()
                     .position(|&k| k == key)
-                    .map(|pos| locs[range][pos])
+                    .map(|pos| a.locs[range][pos])
             }
             Store::Unbounded(m) => m.get(&key).copied(),
         }
     }
 
     /// Inserts or updates the hint for `key`. In the bounded store the
-    /// record lands at the front of its set, displacing the set's LRU
-    /// record if the set is full.
+    /// record lands at the front of its set. A full set doubles a store
+    /// still below its configured size; at that size it displaces the
+    /// set's LRU record.
     ///
     /// # Panics
     ///
@@ -235,14 +294,9 @@ impl HintCache {
     pub fn insert(&mut self, key: u64, location: u64) {
         assert_ne!(key, 0, "hint key 0 is reserved");
         match &mut self.store {
-            Store::SetAssoc {
-                keys,
-                locs,
-                sets,
-                ways,
-            } => {
-                let range = Self::set_range(*sets, *ways, key);
-                let kset = &mut keys[range.clone()];
+            Store::SetAssoc(a) => loop {
+                let range = a.range(key);
+                let kset = &mut a.keys[range.clone()];
                 let front = |kset: &mut [u64], lset: &mut [u64], pos: usize| {
                     kset.copy_within(0..pos, 1);
                     lset.copy_within(0..pos, 1);
@@ -250,19 +304,24 @@ impl HintCache {
                     lset[0] = location;
                 };
                 if let Some(pos) = kset.iter().position(|&k| k == key) {
-                    front(kset, &mut locs[range], pos);
+                    front(kset, &mut a.locs[range], pos);
                     return;
                 }
                 if let Some(pos) = kset.iter().position(|&k| k == 0) {
-                    front(kset, &mut locs[range], pos);
+                    front(kset, &mut a.locs[range], pos);
                     self.len += 1;
                     return;
                 }
+                if a.sets < a.full_sets {
+                    a.grow();
+                    continue;
+                }
                 // Set full: displace the LRU (last) record.
                 let w = kset.len();
-                front(kset, &mut locs[range], w - 1);
+                front(kset, &mut a.locs[range], w - 1);
                 self.displacements += 1;
-            }
+                return;
+            },
             Store::Unbounded(m) => {
                 if m.insert(key, location).is_none() {
                     self.len += 1;
@@ -271,17 +330,27 @@ impl HintCache {
         }
     }
 
-    /// Enumerates every live `(key, location)` record, in set order for the
-    /// bounded store (deterministic) and sorted by key for the unbounded one
-    /// (so snapshots compare stably across store kinds).
+    /// Enumerates every live `(key, location)` record, in configured-size
+    /// set order for the bounded store (deterministic) and sorted by key
+    /// for the unbounded one (so snapshots compare stably across store
+    /// kinds).
     pub fn entries(&self) -> Vec<(u64, u64)> {
         match &self.store {
-            Store::SetAssoc { keys, locs, .. } => keys
-                .iter()
-                .zip(locs.iter())
-                .filter(|(&k, _)| k != 0)
-                .map(|(&k, &l)| (k, l))
-                .collect(),
+            Store::SetAssoc(a) => {
+                let mut out: Vec<(u64, u64)> = a
+                    .keys
+                    .iter()
+                    .zip(a.locs.iter())
+                    .filter(|(&k, _)| k != 0)
+                    .map(|(&k, &l)| (k, l))
+                    .collect();
+                if a.sets < a.full_sets {
+                    // A stable sort keeps each configured-size set's
+                    // records in way order.
+                    out.sort_by_key(|&(k, _)| k % a.full_sets as u64);
+                }
+                out
+            }
             Store::Unbounded(m) => {
                 let mut out: Vec<(u64, u64)> = m.iter().map(|(&k, &l)| (k, l)).collect();
                 out.sort_unstable();
@@ -294,26 +363,19 @@ impl HintCache {
     /// collection a node runs when a peer is confirmed dead, so a departed
     /// machine's hints stop costing probes. Returns the number purged.
     ///
-    /// One pass over the store: O(capacity) for the bounded array,
-    /// O(records) for the unbounded map — independent of request rate, which
-    /// is what bounds a dead peer's total cost at O(1) per object.
+    /// One pass over the store: O(allocated sets) for the bounded array,
+    /// O(records) for the unbounded map — independent of request rate,
+    /// which is what bounds a dead peer's total cost at O(1) per object.
     pub fn purge_location(&mut self, location: u64) -> usize {
         let mut purged = 0usize;
         match &mut self.store {
-            Store::SetAssoc {
-                keys,
-                locs,
-                sets,
-                ways,
-            } => {
-                for set in 0..*sets {
-                    let range = set * *ways..(set + 1) * *ways;
-                    let kset = &mut keys[range.clone()];
-                    let lset = &mut locs[range];
+            Store::SetAssoc(a) => {
+                let ways = a.ways;
+                for (kset, lset) in a.keys.chunks_mut(ways).zip(a.locs.chunks_mut(ways)) {
                     // Compact each set in place, preserving LRU order of the
                     // survivors.
                     let mut write = 0usize;
-                    for read in 0..kset.len() {
+                    for read in 0..ways {
                         if kset[read] == 0 {
                             break;
                         }
@@ -325,7 +387,7 @@ impl HintCache {
                         lset[write] = lset[read];
                         write += 1;
                     }
-                    for slot in write..kset.len() {
+                    for slot in write..ways {
                         kset[slot] = 0;
                         lset[slot] = 0;
                     }
@@ -347,16 +409,11 @@ impl HintCache {
             return None;
         }
         match &mut self.store {
-            Store::SetAssoc {
-                keys,
-                locs,
-                sets,
-                ways,
-            } => {
-                let range = Self::set_range(*sets, *ways, key);
-                let kset = &mut keys[range.clone()];
+            Store::SetAssoc(a) => {
+                let range = a.range(key);
+                let kset = &mut a.keys[range.clone()];
                 let pos = kset.iter().position(|&k| k == key)?;
-                let lset = &mut locs[range];
+                let lset = &mut a.locs[range];
                 let loc = lset[pos];
                 // Compact the set: shift the remainder left, clear the last.
                 kset.copy_within(pos + 1.., pos);
@@ -498,6 +555,265 @@ mod tests {
         }
     }
 
+    #[test]
+    fn store_starts_small_and_doubles_to_its_configured_size() {
+        let sets = |h: &HintCache| match &h.store {
+            Store::SetAssoc(a) => (a.sets, a.keys.len()),
+            Store::Unbounded(_) => unreachable!(),
+        };
+        // A node shard's default: 512 KiB = 8,192 sets × 4 ways.
+        let mut h = HintCache::with_capacity(ByteSize::from_kb(512));
+        assert_eq!(sets(&h), (MIN_SETS, MIN_SETS * DEFAULT_WAYS));
+        assert_eq!(h.capacity_records(), Some(32_768));
+        assert_eq!(h.footprint(), ByteSize::from_kb(512));
+        // Five keys sharing a 16-set index force one doubling.
+        for k in 0..5u64 {
+            h.insert(3 + 16 * k, k);
+        }
+        assert_eq!(sets(&h).0, 2 * MIN_SETS);
+        assert_eq!(h.displacement_count(), 0);
+        // Keys sharing one configured-size set grow the store to full size
+        // and only then displace.
+        for k in 0..5u64 {
+            h.insert(7 + 8_192 * k, k);
+        }
+        assert_eq!(sets(&h), (8_192, 32_768));
+        assert_eq!(h.displacement_count(), 1);
+        assert_eq!(h.peek(7), None, "the LRU record of the full set goes");
+        // Odd and tiny set counts start at full size; an even one halves
+        // while at least MIN_SETS remain.
+        let start = |set_count: u64| {
+            let bytes = set_count * DEFAULT_WAYS as u64 * HINT_RECORD_BYTES;
+            sets(&HintCache::with_capacity(ByteSize::from_bytes(bytes))).0
+        };
+        assert_eq!(start(37), 37);
+        assert_eq!(start(1), 1);
+        assert_eq!(start(48), 24);
+    }
+
+    /// The fixed-size array this store replaced, kept as the model the
+    /// growing store must match operation for operation.
+    struct FixedArray {
+        keys: Vec<u64>,
+        locs: Vec<u64>,
+        sets: usize,
+        ways: usize,
+        len: usize,
+        hits: u64,
+        misses: u64,
+        displacements: u64,
+    }
+
+    impl FixedArray {
+        fn new(sets: usize, ways: usize) -> FixedArray {
+            FixedArray {
+                keys: vec![0; sets * ways],
+                locs: vec![0; sets * ways],
+                sets,
+                ways,
+                len: 0,
+                hits: 0,
+                misses: 0,
+                displacements: 0,
+            }
+        }
+
+        fn range(&self, key: u64) -> std::ops::Range<usize> {
+            let set = (key % self.sets as u64) as usize;
+            set * self.ways..(set + 1) * self.ways
+        }
+
+        fn find(&self, key: u64) -> Option<usize> {
+            let range = self.range(key);
+            let start = range.start;
+            self.keys[range]
+                .iter()
+                .position(|&k| k == key)
+                .map(|p| start + p)
+        }
+
+        /// Shifts the records before slot `at` back one way and writes
+        /// `(key, loc)` at the front of the set.
+        fn move_to_front(&mut self, at: usize, key: u64, loc: u64) {
+            let start = self.range(key).start;
+            self.keys.copy_within(start..at, start + 1);
+            self.locs.copy_within(start..at, start + 1);
+            self.keys[start] = key;
+            self.locs[start] = loc;
+        }
+
+        fn lookup(&mut self, key: u64) -> Option<u64> {
+            let found = if key == 0 { None } else { self.find(key) };
+            match found {
+                Some(at) => {
+                    self.hits += 1;
+                    let loc = self.locs[at];
+                    self.move_to_front(at, key, loc);
+                    Some(loc)
+                }
+                None => {
+                    self.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn peek(&self, key: u64) -> Option<u64> {
+            if key == 0 {
+                return None;
+            }
+            self.find(key).map(|at| self.locs[at])
+        }
+
+        fn insert(&mut self, key: u64, loc: u64) {
+            if let Some(at) = self.find(key) {
+                return self.move_to_front(at, key, loc);
+            }
+            let range = self.range(key);
+            let at = match self.keys[range.clone()].iter().position(|&k| k == 0) {
+                Some(p) => {
+                    self.len += 1;
+                    range.start + p
+                }
+                None => {
+                    self.displacements += 1;
+                    range.end - 1
+                }
+            };
+            self.move_to_front(at, key, loc);
+        }
+
+        fn remove(&mut self, key: u64) -> Option<u64> {
+            if key == 0 {
+                return None;
+            }
+            let at = self.find(key)?;
+            let end = self.range(key).end;
+            let loc = self.locs[at];
+            self.keys.copy_within(at + 1..end, at);
+            self.locs.copy_within(at + 1..end, at);
+            self.keys[end - 1] = 0;
+            self.locs[end - 1] = 0;
+            self.len -= 1;
+            Some(loc)
+        }
+
+        fn purge_location(&mut self, location: u64) -> usize {
+            let before = self.len;
+            for start in (0..self.keys.len()).step_by(self.ways) {
+                let mut at = start;
+                while at < start + self.ways && self.keys[at] != 0 {
+                    if self.locs[at] == location {
+                        self.remove(self.keys[at]);
+                    } else {
+                        at += 1;
+                    }
+                }
+            }
+            before - self.len
+        }
+
+        fn entries(&self) -> Vec<(u64, u64)> {
+            self.keys
+                .iter()
+                .zip(&self.locs)
+                .filter(|(&k, _)| k != 0)
+                .map(|(&k, &l)| (k, l))
+                .collect()
+        }
+    }
+
+    const INSERT: u8 = 0;
+    const LOOKUP: u8 = 1;
+    const PEEK: u8 = 2;
+    const REMOVE: u8 = 3;
+    const PURGE: u8 = 4;
+
+    /// Picks an operation from a uniform draw: per 1,000 draws, `purges`
+    /// purges, the rest split 5:2:1:2 among insert, lookup, peek and remove.
+    fn op_kind(draw: u64, purges: u64) -> u8 {
+        let d = draw % 1000;
+        if d < purges {
+            return PURGE;
+        }
+        [
+            INSERT, INSERT, INSERT, INSERT, INSERT, LOOKUP, LOOKUP, PEEK, REMOVE, REMOVE,
+        ][(d % 10) as usize]
+    }
+
+    /// Runs `ops` — `(kind, key index, location)` triples — through a
+    /// growing store and the fixed array of the same shape, comparing every
+    /// result, `len` and the counters after each operation, and `entries()`
+    /// every 64 operations and at the end.
+    fn check_against_fixed(
+        sets: usize,
+        ways: usize,
+        universe: u64,
+        ops: &[(u8, u64, u64)],
+    ) -> Result<(), String> {
+        let capacity = ByteSize::from_bytes((sets * ways) as u64 * HINT_RECORD_BYTES);
+        let mut grown = HintCache::with_capacity_and_ways(capacity, ways);
+        let mut fixed = FixedArray::new(sets, ways);
+        // Spread key indices over all 64 bits; an odd multiplier never maps
+        // a nonzero index to 0.
+        let key = |i: u64| (i % universe + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let fail = |step: usize, what: &str| {
+            Err(format!(
+                "{sets} sets x {ways} ways, universe {universe}: {what} diverged at op {step}"
+            ))
+        };
+        for (step, &(kind, i, loc)) in ops.iter().enumerate() {
+            let k = key(i);
+            let same = match kind {
+                INSERT => {
+                    grown.insert(k, loc);
+                    fixed.insert(k, loc);
+                    true
+                }
+                LOOKUP => grown.lookup(k) == fixed.lookup(k),
+                PEEK => grown.peek(k) == fixed.peek(k),
+                REMOVE => grown.remove(k) == fixed.remove(k),
+                _ => grown.purge_location(loc) == fixed.purge_location(loc),
+            };
+            if !same {
+                return fail(step, "a return value");
+            }
+            let state = (
+                grown.len(),
+                grown.hit_count(),
+                grown.miss_count(),
+                grown.displacement_count(),
+            );
+            if state != (fixed.len, fixed.hits, fixed.misses, fixed.displacements) {
+                return fail(step, "len or a counter");
+            }
+            if (step % 64 == 63 || step + 1 == ops.len()) && grown.entries() != fixed.entries() {
+                return fail(step, "entries()");
+            }
+        }
+        if grown.footprint() != capacity || grown.capacity_records() != Some(sets * ways) {
+            return fail(ops.len(), "footprint or capacity");
+        }
+        Ok(())
+    }
+
+    /// A long run at a node shard's shape (8,192 sets × 4 ways) over more
+    /// keys than slots, so the store grows to full size and then displaces.
+    #[test]
+    fn growing_store_matches_fixed_array_at_node_shard_shape() {
+        let mut rng = 0x5eed_u64;
+        let mut next = move || {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            rng >> 11
+        };
+        let ops: Vec<(u8, u64, u64)> = (0..200_000)
+            .map(|_| (op_kind(next(), 1), next(), next() % 8 + 1))
+            .collect();
+        check_against_fixed(8_192, 4, 48_000, &ops).unwrap();
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
@@ -540,6 +856,28 @@ mod tests {
                 for (key, loc) in ops {
                     h.insert(key, loc);
                     prop_assert!(h.len() <= cap);
+                }
+            }
+
+            /// The growing store matches the fixed-size array it replaced
+            /// across power-of-two and odd set counts, 2/4/8 ways, and key
+            /// universes from a quarter to four times the capacity.
+            #[test]
+            fn growing_store_matches_fixed_array(
+                shape in 0usize..9,
+                ways in 0usize..3,
+                scale in 0usize..3,
+                ops in proptest::collection::vec((any::<u64>(), any::<u64>(), 1u64..5), 1..1500)
+            ) {
+                let sets = [1, 16, 31, 32, 37, 48, 64, 96, 256][shape];
+                let ways = [2, 4, 8][ways];
+                let universe = ((sets * ways) as u64 * [1, 4, 16][scale] / 4).max(1);
+                let ops: Vec<(u8, u64, u64)> = ops
+                    .into_iter()
+                    .map(|(draw, i, loc)| (op_kind(draw, 20), i, loc))
+                    .collect();
+                if let Err(e) = check_against_fixed(sets, ways, universe, &ops) {
+                    prop_assert!(false, "{}", e);
                 }
             }
         }

@@ -10,9 +10,9 @@
 //!   (§4.1.2);
 //! * [`HintCache`] — the paper's hint store (§3.2.1): small, **fixed-size
 //!   16-byte records** (8-byte URL-hash key + 8-byte machine identifier) in
-//!   a **4-way set-associative array**, sized in bytes, plus an unbounded
-//!   variant for "infinite hint cache" experiments (Figure 5's rightmost
-//!   point);
+//!   a **4-way set-associative array**, sized in bytes and allocated as it
+//!   fills, plus an unbounded variant for "infinite hint cache" experiments
+//!   (Figure 5's rightmost point);
 //! * [`classify`] — the miss taxonomy of Figure 2 (compulsory / capacity /
 //!   communication / uncachable / error), implemented as a classifying
 //!   wrapper over a shared global cache.

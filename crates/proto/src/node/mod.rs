@@ -78,8 +78,8 @@ pub struct NodeConfig {
     pub workers: usize,
     /// Digest-partitioned hint-store shards (min 1; `HINT_SHARDS` by
     /// default). Lookups and batch applies lock only the owning shard;
-    /// full iteration (purge, `Resync`, scrape) walks shards in index
-    /// order so artifacts stay deterministic.
+    /// full iteration (purge, scrape, log compaction) walks shards in
+    /// index order so artifacts stay deterministic.
     pub hint_shards: usize,
     /// High-water mark for admission control: the most `Get`s a node has
     /// at its worker pool (queued or being served) before it redirects
@@ -240,9 +240,12 @@ const HINT_SHARDS: usize = 8;
 /// The hint store partitioned into digest-indexed shards, each behind its
 /// own lock, so worker-thread lookups and batch applies stop contending
 /// on the data-store lock (and on each other). A key lives in shard
-/// `key % N`; every full-store operation (`purge_location`, `entries`,
-/// the `Resync` scrape) walks the shards in index order, which keeps
-/// derived artifacts deterministic for a given store state.
+/// `(key >> 32) % N`: a shard's `HintCache` picks the set from the low
+/// bits (`key % sets`), so a shard index taken from those bits too would
+/// leave each shard only the sets congruent to it. Every full-store
+/// operation (`purge_location`, `entries`) walks the shards in index
+/// order, which keeps derived artifacts deterministic for a given store
+/// state.
 #[derive(Debug)]
 struct HintShards {
     shards: Vec<Mutex<HintCache>>,
@@ -278,7 +281,7 @@ impl HintShards {
     }
 
     fn shard_index(&self, key: u64) -> usize {
-        (key % self.shards.len() as u64) as usize
+        ((key >> 32) % self.shards.len() as u64) as usize
     }
 
     fn lock_shard(&self, index: usize) -> parking_lot::MutexGuard<'_, HintCache> {
@@ -305,7 +308,7 @@ impl HintShards {
 
     /// Every `(object, location)` pair, shard 0 first.
     fn entries(&self) -> Vec<(u64, u64)> {
-        // bh-lint: allow(no-hot-alloc, reason = "operator scrape / Resync path, size unknown until shards are locked")
+        // bh-lint: allow(no-hot-alloc, reason = "operator scrape / log compaction path, size unknown until shards are locked")
         let mut out = Vec::new();
         for s in &self.shards {
             out.extend(s.lock().entries());
@@ -1602,7 +1605,9 @@ mod tests {
                 };
                 for _ in 0..2000 {
                     let op = step() % 100;
-                    let key = step() % 257 + 1; // small space forces collisions
+                    // A small key space forces collisions; the odd
+                    // multiplier spreads it across shards.
+                    let key = (step() % 257 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
                     let loc = step() % 5 + 1;
                     if op < 50 {
                         shards.shards[shards.shard_index(key)]
@@ -1634,6 +1639,44 @@ mod tests {
                 assert_eq!(got, want, "entry sets diverged at seed {seed}");
             }
         }
+    }
+
+    /// A node's bounded shards reach every set of their configured
+    /// capacity: 32,768 random keys, an eighth of the default 262,144
+    /// records, nearly all survive. A shard index drawn from the set-index
+    /// bits would confine each shard to an eighth of its sets, leaving
+    /// about 80% of the keys.
+    #[test]
+    fn bounded_hint_shards_use_their_whole_capacity() {
+        let origin: SocketAddr = "127.0.0.1:9".parse().expect("addr");
+        let config = NodeConfig::new("127.0.0.1:0", origin);
+        let shards = HintShards::with_capacity(config.hint_capacity, config.hint_shards);
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        let keys: Vec<u64> = (0..32_768)
+            .map(|_| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            })
+            .collect();
+        for &key in &keys {
+            shards.lock_shard(shards.shard_index(key)).insert(key, 1);
+        }
+        let present = keys
+            .iter()
+            .filter(|&&key| {
+                shards
+                    .lock_shard(shards.shard_index(key))
+                    .peek(key)
+                    .is_some()
+            })
+            .count();
+        assert!(
+            present * 100 >= keys.len() * 99,
+            "only {present} of {} keys survived",
+            keys.len()
+        );
     }
 
     /// Satellite: the pending coalescing buffer is bounded — overflow

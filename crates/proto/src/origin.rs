@@ -241,13 +241,11 @@ fn serve_origin_connection(
                 if !delay.is_zero() {
                     std::thread::sleep(delay);
                 }
-                let (version, body) = {
-                    let st = state.lock();
-                    match st.objects.get(&url) {
-                        Some((v, b)) => (*v, b.clone()),
-                        None => (0, synthetic_body(&url)),
-                    }
-                };
+                // Generate a synthetic body only after the lock is released:
+                // holding it would serialize every connection thread behind
+                // the generation.
+                let stored = state.lock().objects.get(&url).cloned();
+                let (version, body) = stored.unwrap_or_else(|| (0, synthetic_body(&url)));
                 write_message(
                     &mut stream,
                     &Message::GetReply {
